@@ -7,8 +7,13 @@ table under ``results/``.
 
 Performance benchmarks additionally archive machine-readable records via
 :func:`report_perf`, which appends one timestamped entry per run to a
-``results/BENCH_<name>.json`` trajectory so successive PRs can compare
+``results/BENCH_<name>.json`` trajectory so successive runs can compare
 throughput against history.
+
+Archiving is opt-in: nothing under ``results/`` is written unless
+``REPRO_BENCH_RECORD=1`` (set by the CI bench job, and by a change that
+records a measured speedup), so a plain test run leaves tracked files
+untouched.  Printing and the benchmarks' assertions do not depend on it.
 """
 from __future__ import annotations
 
@@ -38,19 +43,28 @@ def perf_asserts_enabled() -> bool:
     return not os.environ.get("CI")
 
 
+def recording_enabled() -> bool:
+    """Whether this run archives its tables and records under ``results/``."""
+    return os.environ.get("REPRO_BENCH_RECORD") == "1"
+
+
 def run_once(benchmark, fn, **kwargs):
     """Execute a driver exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def report(name: str, result: dict) -> str:
-    """Print and archive a driver's output table; return the rendered text."""
+    """Print (and, when recording, archive) a driver's output table.
+
+    Returns the rendered text.
+    """
     table = format_table(result["headers"], result["rows"])
     text = f"== {name} ==\n{table}\n"
     if result.get("notes"):
         text += f"(expected shape: {result['notes']})\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    if recording_enabled():
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text)
     print("\n" + text)
     return text
 
@@ -66,14 +80,17 @@ def _git_revision() -> str:
         return "unknown"
 
 
-def report_perf(name: str, records: list) -> Path:
+def report_perf(name: str, records: list) -> Path | None:
     """Append one run's perf records to ``results/BENCH_<name>.json``.
 
     ``records`` is a list of dicts (one per measured configuration).  The
     file holds the whole trajectory — a JSON list of runs, each stamped
-    with time, git revision, and host — so future PRs can detect
-    regressions against any earlier entry.  Returns the file path.
+    with time, git revision, and host — so later runs can detect
+    regressions against any earlier entry.  Returns the file path, or
+    ``None`` when recording is off (see :func:`recording_enabled`).
     """
+    if not recording_enabled():
+        return None
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
     history = []

@@ -4,8 +4,8 @@ from repro.experiments import figure6
 from _report import report, run_once, series
 
 
-def test_figure6_trainsize(benchmark):
-    out = run_once(benchmark, figure6.run, seed=0)
+def test_figure6_trainsize(benchmark, figure_runtime):
+    out = run_once(benchmark, figure6.run, seed=0, runtime=figure_runtime)
     report("figure6_trainsize", out)
     rows = out["rows"]
     apps = {r[0] for r in rows}

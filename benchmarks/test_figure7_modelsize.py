@@ -4,8 +4,8 @@ from repro.experiments import figure7
 from _report import report, run_once
 
 
-def test_figure7_modelsize(benchmark):
-    out = run_once(benchmark, figure7.run, seed=0)
+def test_figure7_modelsize(benchmark, figure_runtime):
+    out = run_once(benchmark, figure7.run, seed=0, runtime=figure_runtime)
     report("figure7_modelsize", out)
     rows = out["rows"]
     apps = {r[0] for r in rows}

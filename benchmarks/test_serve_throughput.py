@@ -4,9 +4,12 @@ The acceptance bar for the serving subsystem: querying a published model
 through the batched :class:`PredictionEngine` must beat the naive
 per-point ``predict`` loop by >= 10x at 10k queries (the engine's whole
 point is that one fused corner-blend call amortizes the Python/dispatch
-overhead across the batch).  Also measures the JSON server path
-(protocol parsing + engine) in chunks, and appends machine-readable
-records to ``results/BENCH_serve.json`` for the CI regression gate.
+overhead across the batch).  Also times the protocol layer in chunks:
+in-process ``ModelServer.handle(dict)`` calls — request validation,
+engine, and response building, with no socket and no JSON decode (the
+HTTP round trip is measured by ``perfbench/run.py --workload serve``).
+Records go to ``results/BENCH_serve.json`` for the CI regression gate;
+the ``server_*`` keys name this in-process path.
 """
 import tempfile
 import time
@@ -22,7 +25,7 @@ from _report import perf_asserts_enabled, report, report_perf, run_once
 
 N_QUERIES = 10_000
 N_TRAIN = 4096
-_SERVER_CHUNK = 512  # rows per JSON request on the server path
+_SERVER_CHUNK = 512  # rows per handle() request on the protocol path
 
 
 def _best_of(fn, repeats=3):
@@ -60,7 +63,7 @@ def _run():
         batched_s, y_batch = _best_of(lambda: engine.predict(queries.X))
         np.testing.assert_allclose(y_batch, y_loop, rtol=1e-10)
 
-        # Server path: JSON protocol round trip in chunked requests.
+        # Protocol path: in-process handle() calls on request dicts.
         chunks = [
             queries.X[i : i + _SERVER_CHUNK].tolist()
             for i in range(0, N_QUERIES, _SERVER_CHUNK)
@@ -74,7 +77,7 @@ def _run():
                 out.extend(resp["y"])
             return np.asarray(out)
 
-        through_server()  # warm-up (engine construction, JSON buffers)
+        through_server()  # warm-up (engine construction)
         server_s, y_server = _best_of(through_server)
         np.testing.assert_allclose(y_server, y_loop, rtol=1e-10)
 
@@ -106,7 +109,7 @@ def test_serve_throughput(benchmark):
             ["per-point loop", r["loop_seconds"], r["loop_qps"], 1.0],
             ["batched engine", r["batched_s"], r["batched_qps"],
              r["batched_speedup"]],
-            ["JSON server", r["server_s"], r["server_qps"],
+            ["handle(), in-process", r["server_s"], r["server_qps"],
              r["server_speedup"]],
         ],
         "notes": "batched engine >= 10x per-point loop at 10k queries",
@@ -116,6 +119,6 @@ def test_serve_throughput(benchmark):
     if not perf_asserts_enabled():
         return
     # Acceptance: the batched engine beats the per-point loop by >= 10x,
-    # and the JSON protocol layer keeps at least half that advantage.
+    # and the in-process protocol layer keeps at least half that advantage.
     assert r["batched_speedup"] >= 10.0, r
     assert r["server_speedup"] >= 5.0, r

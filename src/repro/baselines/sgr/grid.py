@@ -143,38 +143,44 @@ class SparseGridBasis:
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"X must be (n, {self.d})")
         n = len(X)
-        # Group basis ids by level vector.
-        groups: dict[tuple, dict[tuple, int]] = {}
+        # Group basis ids and index tuples by level vector.
+        groups: dict[tuple, tuple[list, list]] = {}
         for b, (l, i) in enumerate(zip(self._levels, self._indices)):
-            groups.setdefault(l, {})[i] = b
+            ids, idx = groups.setdefault(l, ([], []))
+            ids.append(b)
+            idx.append(i)
 
         rows, cols, vals = [], [], []
-        for l, index_map in groups.items():
-            scale = np.asarray([1 << lj for lj in l], dtype=float)
-            t = X * scale  # (n, d) in level-l integer coordinates
+        for l, (ids, idx) in groups.items():
+            # A level-1 dimension has the single index 1 and the constant
+            # 1-D value 1, so only the refined dimensions are evaluated.
+            active = np.flatnonzero(np.asarray(l) > 1)
+            scale = np.asarray([float(1 << l[j]) for j in active])
+            top = (scale - 1).astype(np.int64)
+            t = X[:, active] * scale  # (n, |active|) in level-l integer coordinates
             # The unique odd index whose support can contain each sample.
             i_star = (2 * np.floor(t / 2.0) + 1).astype(np.int64)
-            i_star = np.minimum(i_star, (scale - 1).astype(np.int64))
+            i_star = np.minimum(i_star, top)
             # Modified-linear 1-D values (vectorized over samples and dims).
             hat = np.maximum(1.0 - np.abs(t - i_star), 0.0)
-            lvl = np.asarray(l)[None, :]
-            left = (i_star == 1) & (lvl > 1)
-            right = (i_star == (scale - 1).astype(np.int64)) & (lvl > 1) & ~left
+            left = i_star == 1
+            right = (i_star == top) & ~left
             phi1 = np.where(left, np.maximum(2.0 - t, 0.0), hat)
             phi1 = np.where(right, np.maximum(t - (i_star - 1), 0.0), phi1)
-            phi1 = np.where(lvl == 1, 1.0, phi1)
             phi = np.prod(phi1, axis=1)
             live = phi > 0
             if not live.any():
                 continue
-            # Map index tuples to basis ids (vectorized via ravel keys).
-            strides = np.concatenate([[1], np.cumprod(scale[:-1])]).astype(np.int64)
-            keys = (i_star[live] * strides).sum(axis=1)
-            lookup = {
-                int((np.asarray(i) * strides).sum()): b for i, b in index_map.items()
-            }
-            col_ids = np.asarray([lookup.get(int(k), -1) for k in keys], dtype=np.int64)
-            present = col_ids >= 0
+            # Map index tuples to basis ids: mixed-radix keys over the
+            # refined dimensions, looked up in the group's sorted keys.
+            strides = np.cumprod(np.concatenate([[1.0], scale]))[:-1].astype(np.int64)
+            basis_keys = np.asarray(idx, dtype=np.int64)[:, active] @ strides
+            order = np.argsort(basis_keys)
+            sorted_keys = basis_keys[order]
+            keys = i_star[live] @ strides
+            pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+            present = sorted_keys[pos] == keys
+            col_ids = np.asarray(ids, dtype=np.int64)[order][pos]
             live_rows = np.flatnonzero(live)[present]
             rows.append(live_rows)
             cols.append(col_ids[present])

@@ -195,7 +195,6 @@ def make_worker_server(cfg: dict) -> FleetWorkerServer:
         registry,
         default_model=cfg["default_model"],
         max_batch=cfg["max_batch"],
-        max_delay_ms=cfg["max_delay_ms"],
         microbatch=True,
         max_inflight=cfg["max_inflight"],
         model_loader=loader,
@@ -289,7 +288,6 @@ class ServeFleet:
         host: str = "127.0.0.1",
         default_model: str | None = None,
         max_batch: int = 256,
-        max_delay_ms: float = 2.0,
         max_inflight: int = 128,
         kernel_backend: str | None = None,
         socket_mode: str = "auto",
@@ -335,7 +333,6 @@ class ServeFleet:
             "port": None,  # known after bind
             "default_model": default_model,
             "max_batch": int(max_batch),
-            "max_delay_ms": float(max_delay_ms),
             "max_inflight": int(max_inflight),
             "request_timeout_ms": request_timeout_ms,
             # Round-trips the --kernel-backend CLI flag into every forked

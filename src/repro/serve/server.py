@@ -5,13 +5,15 @@ Two transports, one protocol (see DESIGN.md, "Serving"):
 ``python -m repro.serve --registry DIR --http PORT``
     Threaded HTTP server; POST a JSON request body to any path.  Because
     requests arrive on concurrent handler threads, predict calls pass
-    through a per-model :class:`MicroBatcher` that coalesces them into
-    single engine batches (bounded by ``--max-batch`` rows or
-    ``--max-delay-ms`` of waiting, whichever comes first).
+    through a per-model :class:`MicroBatcher`: each flush takes every
+    request already queued (up to ``--max-batch`` rows) as one engine
+    batch, without waiting for more to arrive.  The handler sets
+    ``TCP_NODELAY``, so a reply's headers and body (two sends) never
+    wait on the client's delayed ACK.
 ``python -m repro.serve --registry DIR --stdin``
     Line protocol: one JSON request per stdin line, one JSON response
     per stdout line.  Single-threaded, so predictions run directly on
-    the engine (a microbatcher would only add its flush delay).
+    the engine (there is never anything queued to coalesce).
 
 Requests are objects with an ``op``: ``predict`` (``model``, optional
 ``version``, ``x`` = list of query rows), ``models``, ``stats``,
@@ -114,19 +116,21 @@ class _Pending:
 class MicroBatcher:
     """Coalesce concurrent ``submit`` calls into single batched flushes.
 
-    A background worker drains the queue: the first waiting item opens a
-    batch window, further items join until the batch reaches
-    ``max_batch`` rows or ``max_delay_s`` elapses, then all rows are
-    concatenated and handed to ``flush_fn`` in one call.  Each submitter
-    gets back exactly its slice; an exception in ``flush_fn`` propagates
-    to every member of that batch (and only that batch).
+    A background worker drains the queue: it takes the first waiting
+    item plus everything queued behind it, up to ``max_batch`` rows,
+    and flushes at once — no window waits for joiners.  Requests that
+    arrive during a running flush form the next batch, so batches grow
+    with load and an idle server answers a lone request immediately.
+    All rows of a batch are concatenated and handed to ``flush_fn`` in
+    one call.  Each submitter gets back exactly its slice; an exception
+    in ``flush_fn`` propagates to every member of that batch (and only
+    that batch).
     """
 
     def __init__(
         self,
         flush_fn,
         max_batch: int = 256,
-        max_delay_s: float = 0.002,
         max_pending: int | None = None,
         timeout_s: float | None = None,
     ):
@@ -134,7 +138,6 @@ class MicroBatcher:
             raise ValueError("max_batch must be >= 1")
         self._flush_fn = flush_fn
         self.max_batch = int(max_batch)
-        self.max_delay_s = max(float(max_delay_s), 0.0)
         # ``max_pending`` bounds the number of *waiting* submissions
         # (admission control): when the worker falls behind, submit
         # raises Overloaded instead of queueing unboundedly.
@@ -236,16 +239,12 @@ class MicroBatcher:
         self._worker.join(timeout=5.0)
 
     def _collect(self, first: _Pending) -> list:
-        """Gather one batch: ``first`` plus joiners within the window."""
+        """Gather one batch: ``first`` plus whatever is already queued."""
         batch = [first]
         rows = len(first.x)
-        deadline = time.perf_counter() + self.max_delay_s
         while rows < self.max_batch:
-            remaining = deadline - time.perf_counter()
             try:
-                item = self._queue.get(
-                    timeout=max(remaining, 0.0)
-                ) if remaining > 0 else self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:  # close sentinel: stop collecting, flush what we have
@@ -338,7 +337,6 @@ class ModelServer:
         registry: ModelRegistry,
         default_model: str | None = None,
         max_batch: int = 256,
-        max_delay_ms: float = 2.0,
         microbatch: bool = False,
         engine_cache_size: int = 16,
         max_inflight: int | None = None,
@@ -348,7 +346,6 @@ class ModelServer:
         self.registry = registry
         self.default_model = default_model
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_ms) / 1e3
         self.microbatch = bool(microbatch)
         # Per-request predict budget (microbatched transports only): a
         # flush missing it answers 504 instead of wedging its handler
@@ -459,7 +456,6 @@ class ModelServer:
                     batcher = MicroBatcher(
                         flush,
                         max_batch=self.max_batch,
-                        max_delay_s=self.max_delay_s,
                         max_pending=self.max_inflight,
                         timeout_s=self.request_timeout_s,
                     )
@@ -642,6 +638,11 @@ def _http_handler(server: ModelServer):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # ``_reply`` sends headers and body as two writes on an unbuffered
+        # socket; with Nagle on, the body waits for the client's delayed
+        # ACK of the headers (~40 ms on Linux).  The stdlib sets
+        # TCP_NODELAY in ``StreamRequestHandler.setup`` for this flag.
+        disable_nagle_algorithm = True
 
         def _reply(self, payload: dict, status: int = 200) -> None:
             body = json.dumps(payload).encode("utf-8")
@@ -713,8 +714,6 @@ def main(argv=None) -> int:
                         help="default model for predict requests without one")
     parser.add_argument("--max-batch", type=int, default=256,
                         help="microbatch flush size (rows)")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="microbatch window before a partial flush")
     parser.add_argument("--cache-size", type=int, default=8,
                         help="registry LRU capacity (deserialized models)")
     parser.add_argument("--workers", type=int, default=1,
@@ -767,7 +766,6 @@ def main(argv=None) -> int:
             host=args.host,
             default_model=args.model,
             max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
             max_inflight=args.max_inflight,
             request_timeout_ms=args.request_timeout_ms,
             kernel_backend=args.kernel_backend,
@@ -793,7 +791,6 @@ def main(argv=None) -> int:
         registry,
         default_model=args.model,
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         microbatch=args.http is not None,
         max_inflight=args.max_inflight,
         request_timeout_ms=args.request_timeout_ms,

@@ -570,7 +570,7 @@ class TestPredictTimeout:
                 release.wait(5.0)  # first flush wedges until released
             return np.zeros(len(batch))
 
-        mb = MicroBatcher(flush, max_delay_s=0.0, timeout_s=0.15)
+        mb = MicroBatcher(flush, timeout_s=0.15)
         try:
             with pytest.raises(PredictTimeout):
                 mb.submit(np.zeros((1, 2)))
@@ -589,8 +589,7 @@ class TestPredictTimeout:
         reg = ModelRegistry(tmp_path)
         reg.publish("m", fitted)
         server = ModelServer(
-            reg, default_model="m", microbatch=True,
-            max_delay_ms=0.0, request_timeout_ms=100.0,
+            reg, default_model="m", microbatch=True, request_timeout_ms=100.0,
         )
         try:
             with faults.injected(
@@ -634,7 +633,7 @@ class TestShmFaults:
             store.ensure(mv.digest, fitted)
             cfg = {
                 "registry_dir": str(tmp_path), "host": "127.0.0.1", "port": 0,
-                "default_model": "m", "max_batch": 64, "max_delay_ms": 1.0,
+                "default_model": "m", "max_batch": 64,
                 "max_inflight": 8, "shm": True, "attach_wait_s": 0.0,
             }
             with faults.injected(plan().on("shm.attach", "error", max_fires=None)):

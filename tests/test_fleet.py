@@ -132,7 +132,6 @@ def _worker_cfg(tmp_path, **overrides):
         "port": 0,
         "default_model": "m",
         "max_batch": 64,
-        "max_delay_ms": 1.0,
         "max_inflight": 8,
         "shm": True,
         "attach_wait_s": 0.2,

@@ -1,10 +1,12 @@
 """Serving subsystem: registry, engine, server protocol, publish hooks."""
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import os
 import stat
+import sys
 import threading
 import time
 
@@ -15,7 +17,7 @@ from repro.apps import Broadcast
 from repro.core import CPRModel
 from repro.datasets import generate_dataset
 from repro.serve import MicroBatcher, ModelRegistry, ModelServer, PredictionEngine
-from repro.serve.server import serve_stdin
+from repro.serve.server import serve_http, serve_stdin
 from repro.utils.serialization import dumps_model, loads_model, model_digest
 
 
@@ -248,40 +250,127 @@ def test_model_describe_is_json_roundtrippable(fitted):
 # -- microbatcher --------------------------------------------------------------
 
 
+def _gated(fn):
+    """``fn`` wrapped so that its first call blocks until released.
+
+    Returns ``(flush_fn, flushing, release, sizes)``: ``flushing`` is set
+    once the first call is blocked, ``release`` unblocks it, and
+    ``sizes`` records the row count of every call in order.
+    """
+    flushing, release = threading.Event(), threading.Event()
+    sizes: list = []
+
+    def flush(X):
+        sizes.append(len(X))
+        if len(sizes) == 1:
+            flushing.set()
+            release.wait(timeout=10)
+        return fn(X)
+
+    return flush, flushing, release, sizes
+
+
+def _submit_behind_busy_flush(mb, flushing, release, requests):
+    """Submit ``requests[0]`` and hold the worker inside its flush; queue
+    the rest behind it, then release.  Returns each request's result."""
+    outs: dict = {}
+
+    def client(i):
+        outs[i] = mb.submit(requests[i])
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(len(requests))]
+    threads[0].start()
+    assert flushing.wait(timeout=10)
+    for t in threads[1:]:
+        t.start()
+    deadline = time.time() + 10
+    while mb._queue.qsize() < len(requests) - 1 and time.time() < deadline:
+        time.sleep(0.002)
+    assert mb._queue.qsize() == len(requests) - 1
+    release.set()
+    for t in threads:
+        t.join(timeout=10)
+    return [outs[i] for i in range(len(requests))]
+
+
 def test_microbatcher_slices_and_coalesces():
-    flushed_sizes = []
-
-    def slow_identity(X):
-        flushed_sizes.append(len(X))
-        time.sleep(0.01)
-        return X[:, 0] * 10.0
-
-    mb = MicroBatcher(slow_identity, max_batch=64, max_delay_s=0.05)
+    flush, flushing, release, sizes = _gated(lambda X: X[:, 0] * 10.0)
+    mb = MicroBatcher(flush, max_batch=64)
     try:
-        outs = {}
+        requests = [np.zeros((1, 1))]
+        requests += [np.full((2, 1), float(i)) for i in range(1, 6)]
+        outs = _submit_behind_busy_flush(mb, flushing, release, requests)
+        for x, y in zip(requests, outs):
+            np.testing.assert_allclose(y, 10.0 * x[:, 0])
+        # The lone first request flushed at once; the five queued behind
+        # the running flush went out together as the next batch.
+        assert sizes == [1, 10]
+    finally:
+        release.set()
+        mb.close()
 
-        def client(i):
-            outs[i] = mb.submit(np.full((2, 1), float(i)))
 
-        threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+def test_microbatcher_drain_stops_at_max_batch():
+    flush, flushing, release, sizes = _gated(lambda X: X[:, 0])
+    mb = MicroBatcher(flush, max_batch=4)
+    try:
+        requests = [np.zeros((1, 1))]
+        requests += [np.full((2, 1), float(i)) for i in range(1, 6)]
+        outs = _submit_behind_busy_flush(mb, flushing, release, requests)
+        for x, y in zip(requests, outs):
+            np.testing.assert_allclose(y, x[:, 0])
+        assert sizes == [1, 4, 4, 2]
+    finally:
+        release.set()
+        mb.close()
+
+
+def test_microbatcher_stress_every_submitter_gets_its_own_rows():
+    """More submitters than cores, frequent thread switches: no row is
+    lost, duplicated or handed to another submitter."""
+    sizes: list = []
+
+    def flush(X):
+        sizes.append(len(X))
+        return X[:, 0] * 2.0 + X[:, 1]
+
+    mb = MicroBatcher(flush, max_batch=16)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    errors: list = []
+
+    def client(c):
+        try:
+            for i in range(40):
+                n = 1 + (c + i) % 3
+                x = np.column_stack(
+                    [np.arange(n) + 1000.0 * c + 10.0 * i, np.full(n, c)]
+                )
+                np.testing.assert_array_equal(mb.submit(x), x[:, 0] * 2.0 + c)
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        threads = [threading.Thread(target=client, args=(c,)) for c in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        for i in range(6):
-            np.testing.assert_allclose(outs[i], [10.0 * i, 10.0 * i])
-        # 12 rows total flushed, in fewer than 6 flushes (some coalesced).
-        assert sum(flushed_sizes) == 12
-        assert len(flushed_sizes) < 6
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
     finally:
+        sys.setswitchinterval(old_interval)
         mb.close()
+    assert not errors, errors[:2]
+    assert sum(sizes) == sum(1 + (c + i) % 3 for c in range(8) for i in range(40))
+    # A drain stops once it reaches max_batch rows; one request may cross it.
+    assert max(sizes) < 16 + 3
 
 
 def test_microbatcher_propagates_errors_and_closes():
     def boom(X):
         raise ValueError("bad batch")
 
-    mb = MicroBatcher(boom, max_batch=4, max_delay_s=0.0)
+    mb = MicroBatcher(boom, max_batch=4)
     with pytest.raises(ValueError, match="bad batch"):
         mb.submit([[1.0]])
     mb.close()
@@ -370,11 +459,47 @@ def test_serve_stdin_line_protocol(server, bcast_data, fitted):
     assert responses[2] == {"ok": True, "op": "ping"}
 
 
+def test_http_keepalive_predicts_do_not_wait_for_delayed_ack(
+    tmp_path, bcast_data, fitted
+):
+    """Sequential predicts on one keep-alive connection answer promptly.
+
+    A reply sent as two writes (headers, then body) with Nagle's
+    algorithm on stalls each round trip on the client's ~40 ms
+    delayed-ACK timer; the median must stay well under that.
+    """
+    app, _, _ = bcast_data
+    X = generate_dataset(app, 128, seed=3).X
+    reg = ModelRegistry(tmp_path)
+    reg.publish("bcast", fitted)
+    srv = ModelServer(reg, default_model="bcast", microbatch=True)
+    httpd = serve_http(srv, 0)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    conn = http.client.HTTPConnection("127.0.0.1", httpd.server_address[1], timeout=30)
+    try:
+        body = json.dumps({"op": "predict", "x": X.tolist()})
+        round_trips = []
+        for _ in range(30):
+            t0 = time.perf_counter()
+            conn.request("POST", "/", body)
+            resp = conn.getresponse()
+            out = json.loads(resp.read())
+            round_trips.append(1e3 * (time.perf_counter() - t0))
+            assert resp.status == 200 and out["n"] == len(X), out
+        np.testing.assert_allclose(out["y"], fitted.predict(X))
+        assert np.median(round_trips) < 20.0, sorted(round_trips)
+    finally:
+        conn.close()
+        httpd.shutdown()
+        httpd.server_close()
+        srv.close()
+
+
 def test_server_microbatched_predictions_match(tmp_path, bcast_data, fitted):
     _, _, test = bcast_data
     reg = ModelRegistry(tmp_path)
     reg.publish("bcast", fitted)
-    srv = ModelServer(reg, default_model="bcast", microbatch=True, max_delay_ms=5)
+    srv = ModelServer(reg, default_model="bcast", microbatch=True)
     try:
         expect = fitted.predict(test.X)
         results = {}
@@ -457,7 +582,7 @@ def test_microbatched_model_errors_do_not_leak_batchers(tmp_path):
     """Model failures under microbatching must not abandon worker threads."""
     reg = ModelRegistry(tmp_path)
     reg.publish("broken", _BrokenModel())
-    srv = ModelServer(reg, microbatch=True, max_delay_ms=0.0)
+    srv = ModelServer(reg, microbatch=True)
     try:
         before = sum(
             t.name == "repro-serve-microbatch" for t in threading.enumerate()
@@ -475,25 +600,18 @@ def test_microbatched_model_errors_do_not_leak_batchers(tmp_path):
 
 def test_microbatcher_mixed_widths_flush_separately():
     """Coalesced requests of different column counts must all succeed."""
-    mb = MicroBatcher(lambda X: X.sum(axis=1), max_batch=64, max_delay_s=0.05)
+    flush, flushing, release, sizes = _gated(lambda X: X.sum(axis=1))
+    mb = MicroBatcher(flush, max_batch=64)
     try:
-        outs = {}
-
-        def client(i, width):
-            outs[i] = mb.submit(np.full((1, width), float(i)))
-
-        threads = [
-            threading.Thread(target=client, args=(i, 2 + (i % 2)))
-            for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for i in range(6):
-            width = 2 + (i % 2)
-            np.testing.assert_allclose(outs[i], [float(i) * width])
+        requests = [np.full((1, 2 + (i % 2)), float(i)) for i in range(6)]
+        outs = _submit_behind_busy_flush(mb, flushing, release, requests)
+        for i, y in enumerate(outs):
+            np.testing.assert_allclose(y, [float(i) * (2 + (i % 2))])
+        # One coalesced batch of five, flushed as one call per width:
+        # rows 1, 3, 5 have three columns, rows 2, 4 have two.
+        assert sizes == [1, 3, 2]
     finally:
+        release.set()
         mb.close()
 
 
@@ -610,7 +728,7 @@ def test_server_concurrent_predict_while_republishing(tmp_path, bcast_data):
     models = [_fit(app, train, seed=s, rank=2 + (s % 2)) for s in range(6)]
     expected = {}  # version -> prediction vector (versions are dense 1..N)
     reg = ModelRegistry(tmp_path, cache_size=3)
-    srv = ModelServer(reg, default_model="m", microbatch=True, max_delay_ms=0.5)
+    srv = ModelServer(reg, default_model="m", microbatch=True)
     expected[1] = models[0].predict(Xq)
     reg.publish("m", models[0])
 
@@ -769,7 +887,7 @@ def test_eviction_churn_does_not_accumulate_batcher_threads(tmp_path, bcast_data
     model = _fit(app, train)
     for i in range(3):
         reg.publish(f"m{i}", model)
-    srv = ModelServer(reg, microbatch=True, engine_cache_size=1, max_delay_ms=0.0)
+    srv = ModelServer(reg, microbatch=True, engine_cache_size=1)
     try:
         before = sum(
             t.name == "repro-serve-microbatch" for t in threading.enumerate()
@@ -802,13 +920,13 @@ def test_microbatcher_rejects_wrong_length_flush():
     The old slicing handed the first submitter a wrong-length vector and
     downstream submitters their neighbours' predictions.
     """
-    mb = MicroBatcher(lambda X: np.zeros(len(X) + 1), max_batch=8, max_delay_s=0.0)
+    mb = MicroBatcher(lambda X: np.zeros(len(X) + 1), max_batch=8)
     try:
         with pytest.raises(RuntimeError, match="refusing to mis-slice"):
             mb.submit([[1.0], [2.0]])
     finally:
         mb.close()
-    mb = MicroBatcher(lambda X: np.zeros((len(X), 1)), max_batch=8, max_delay_s=0.0)
+    mb = MicroBatcher(lambda X: np.zeros((len(X), 1)), max_batch=8)
     try:
         with pytest.raises(RuntimeError, match="refusing to mis-slice"):
             mb.submit([[1.0]])
@@ -850,7 +968,7 @@ def test_microbatcher_sheds_past_max_pending():
         release.wait(timeout=10)
         return X[:, 0]
 
-    mb = MicroBatcher(gated, max_batch=1, max_delay_s=0.0, max_pending=1)
+    mb = MicroBatcher(gated, max_batch=1, max_pending=1)
     results: dict = {}
     try:
         # A is dequeued by the worker and blocks inside the flush.
