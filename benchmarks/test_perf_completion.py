@@ -10,7 +10,10 @@ as skipped (with the probe's reason), not silently dropped, so the CI
 numba leg and numba-less hosts produce comparable trajectories.  The
 large configuration (64 cells per mode, rank 16, order 4) is the
 paper-scale setting the batched rewrite targets: the assertions require
-the vectorized kernels to hold at least a 5x fit speedup there.
+the vectorized kernels to hold at least a 5x fit speedup there.  The
+sweep configuration (8 cells per mode, rank 4, order 9) is the shape of
+the paper pipeline's most frequent fits, where per-call overhead rather
+than arithmetic sets the ALS sweep cost.
 """
 import time
 
@@ -30,6 +33,8 @@ CONFIGS = [
     ("small", 16, 3, 4, 1024),
     ("medium", 32, 4, 8, 2048),
     ("large", 64, 4, 16, 512),
+    # The perfbench sweep's hot fits: high order, few cells, ~1k cells seen.
+    ("sweep", 8, 9, 4, 1024),
 ]
 _ALS_SWEEPS = 10
 _AMN_OPTS = dict(max_sweeps=1, newton_iters=8, barrier_min=1e-2)

@@ -180,10 +180,9 @@ def complete_als_regularized(
     lam = _resolve_penalties(factors[0].shape[1], regularization,
                              column_penalties)
     ctx = backend.prepare_als(shape, indices, values, plan=plan)
-    indices = ctx.indices
 
     def objective() -> float:
-        resid = cp_eval(factors, indices) - values
+        resid = ctx.evaluate(factors) - values
         pen = columnwise_penalty(factors, lam)
         return float((np.sum(resid**2) + pen) / len(values))
 
@@ -195,7 +194,9 @@ def complete_als_regularized(
             backend.als_update(ctx, factors, j, lam, scale_rows)
             if nonnegative:
                 np.maximum(factors[j], 0.0, out=factors[j])
+                ctx.refresh(factors, (j,))
         _rebalance(factors)
+        ctx.refresh(factors)
         sweeps = sweep + 1
         history.append(objective())
         prev, cur = history[-2], history[-1]

@@ -19,6 +19,15 @@ Implementation notes (hot path, vectorized per the hpc-parallel guides):
   row by the fit-wide :class:`~repro.core.completion.state.ObservationPlan`,
   ragged per-row Gram matrices reduced with one zero-padded batched GEMM,
   the ``(n_rows, R, R)`` stack solved by a single batched LAPACK call).
+* ``numpy_batched``'s fit context caches every factor's gathered rows,
+  ``rows[k] = U_k[indices[:, k]]``: a mode update multiplies the cached
+  rows of the other modes instead of gathering them again, and re-gathers
+  only ``rows[j]`` after its solve; the per-sweep objective reads the
+  same rows (``ctx.evaluate``).  Any other write to the factors must be
+  reported with ``ctx.refresh(factors, modes)`` — here ``_rebalance``
+  after each sweep, in ``adaptive.py`` also the nonnegative projection —
+  or later design rows and objectives read stale rows.  Other contexts
+  treat ``refresh`` as a no-op.
 * The ``reference`` backend retains the seed's per-row loop (one
   ``argsort`` and one small solve per row per sweep) — the ground truth
   the equivalence tests compare against, and the slow baseline the
@@ -81,29 +90,28 @@ def _solve_rows(K, t, row_idx, n_rows, lam, out, scale_rows):
             out[i] = np.linalg.lstsq(G, b, rcond=None)[0]
 
 
-def _solve_rows_batched(plan, j, factors, t_sorted, lam, out, scale_rows):
+def _solve_rows_batched(mp, K, t_sorted, lam, out, scale_rows):
     """Batched equivalent of :func:`_solve_rows` for one mode.
 
-    Builds every observed row's ``R x R`` normal system in one shot from
-    the plan's sorted layout and solves the whole stack with one batched
-    LAPACK call; results overwrite the observed rows of ``out`` in place.
+    ``mp`` is the mode's :class:`~repro.core.completion.state.ModePlan`,
+    ``K`` its Khatri-Rao design rows and ``t_sorted`` its targets, both in
+    the plan's sorted order.  Builds every observed row's ``R x R`` normal
+    system in one shot and solves the whole stack with one batched LAPACK
+    call; results overwrite the observed rows of ``out`` in place.
     """
     from repro.core.completion.state import solve_batched_spd
 
-    mp = plan.mode(j)
     if mp.n_obs == 0:
         return
     if not mp.pad_feasible:
         # Heavily skewed multiplicities: zero-padding would dwarf O(nnz).
         # Solve per row on the (already sorted) segments instead.
-        K = plan.khatri_rao(factors, j)
         _solve_rows(
-            K, t_sorted, mp.sorted_indices[:, j], mp.n_rows, lam, out,
+            K, t_sorted, mp.sorted_indices[:, mp.j], mp.n_rows, lam, out,
             scale_rows,
         )
         return
-    R = factors[j].shape[1]
-    K = plan.khatri_rao(factors, j)
+    R = K.shape[1]
     G = mp.gram(K)                              # (n_obs, R, R)
     b = mp.seg_sum(K * t_sorted[:, None])       # (n_obs, R)
     # scale_rows divides the data term by the row's observation count;
@@ -122,7 +130,7 @@ def _solve_rows_batched(plan, j, factors, t_sorted, lam, out, scale_rows):
         diag = np.asarray(
             lam * mp.counts_obs if scale_rows else lam
         ).reshape(-1, 1)
-    G[:, np.arange(R), np.arange(R)] += diag
+    G.reshape(-1, R * R)[:, :: R + 1] += diag    # the stacked diagonals
     out[mp.obs_rows] = solve_batched_spd(G, b)
 
 
@@ -236,8 +244,12 @@ def complete_als(
         # The buffered gathers require float64; coerce warm starts.
         factors = [np.asarray(U, dtype=float) for U in factors]
     ctx = backend.prepare_als(shape, indices, values, plan=plan)
-    indices = ctx.indices
-    history = [ls_objective(factors, indices, values, regularization)]
+
+    def objective() -> float:
+        return ls_objective(factors, ctx.indices, values, regularization,
+                            pred=ctx.evaluate(factors))
+
+    history = [objective()]
     converged = False
     sweeps = 0
     for sweep in range(max_sweeps):
@@ -247,8 +259,9 @@ def complete_als(
         # and weakly decreases the Frobenius penalty, so monotonicity of the
         # scale_rows=False history is preserved.
         _rebalance(factors)
+        ctx.refresh(factors)
         sweeps = sweep + 1
-        history.append(ls_objective(factors, indices, values, regularization))
+        history.append(objective())
         prev, cur = history[-2], history[-1]
         if prev - cur <= tol * max(prev, 1e-30):
             converged = True

@@ -72,10 +72,85 @@ CALIBRATION_ENV_VAR = "REPRO_KERNEL_CALIBRATION"
 
 
 class _FitContext:
-    """Opaque per-fit state a backend's prepare hook hands its updates."""
+    """Per-fit state a backend's prepare hook hands its updates.
+
+    The ALS loops report every write they make to the factors outside
+    ``als_update`` (gauge rebalancing, nonnegative projection) through
+    :meth:`refresh`, and evaluate the model at the fit's observations
+    through :meth:`evaluate`, so a backend that caches factor-derived
+    state can keep it coherent.  This base context caches nothing:
+    :meth:`refresh` is a no-op and :meth:`evaluate` gathers afresh.
+    """
 
     def __init__(self, **attrs):
         self.__dict__.update(attrs)
+
+    def refresh(self, factors, modes=None) -> None:
+        """``factors[k]`` for ``k`` in ``modes`` (all when ``None``) changed."""
+
+    def evaluate(self, factors) -> np.ndarray:
+        """The CP model at ``self.indices``, shape ``(nnz,)``."""
+        from repro.core.completion.state import cp_eval
+
+        return cp_eval(factors, self.indices)
+
+
+class _ALSRowCache(_FitContext):
+    """``numpy_batched`` ALS context: gathered factor rows, cached per fit.
+
+    ``rows[k]`` is ``U_k[indices[:, k]]`` in plan (observation) order,
+    gathered for all modes at first use and then kept current:
+    ``als_update`` re-gathers ``rows[j]`` right after solving mode ``j``,
+    and every other write to the factors must be followed by
+    :meth:`refresh` of the modes written.  A mode update multiplies the
+    cached rows of the other modes, left to right in increasing mode (the
+    order of :meth:`~repro.core.completion.state.ObservationPlan.khatri_rao`),
+    and permutes the product once into mode-``j`` order, so an ALS sweep
+    with its gauge fix costs about ``2d`` gathers and ``d`` permutations
+    instead of ``d * (d - 1)``, with bitwise-identical design rows.
+    :meth:`evaluate` reads the same rows.  A fit at another rank or on
+    other factor arrays needs a new context.
+    """
+
+    def __init__(self, plan, values):
+        self.plan = plan
+        self.indices = plan.indices
+        self.t_sorted = [plan.sorted_values(values, j) for j in range(plan.d)]
+        self._cols = [np.ascontiguousarray(plan.indices[:, k])
+                      for k in range(plan.d)]
+        self.rows = None
+
+    def refresh(self, factors, modes=None) -> None:
+        if self.rows is None:
+            shape = (self.plan.nnz, factors[0].shape[1])
+            self.rows = [np.empty(shape) for _ in factors]
+            self._product = np.empty(shape)
+            self._sorted = np.empty(shape)
+            modes = None
+        for k in range(len(factors)) if modes is None else modes:
+            np.take(factors[k], self._cols[k], axis=0, out=self.rows[k])
+
+    def _rows_of(self, factors) -> list:
+        if self.rows is None:
+            self.refresh(factors)
+        return self.rows
+
+    def design_rows(self, factors, j: int) -> np.ndarray:
+        """Khatri-Rao design rows of mode ``j`` in mode-``j`` sorted order."""
+        others = [r for k, r in enumerate(self._rows_of(factors)) if k != j]
+        K = others[0]
+        if len(others) > 1:
+            K = np.multiply(others[0], others[1], out=self._product)
+            for r in others[2:]:
+                K *= r
+        return np.take(K, self.plan.mode(j).order, axis=0, out=self._sorted)
+
+    def evaluate(self, factors) -> np.ndarray:
+        rows = self._rows_of(factors)
+        prod = np.multiply(rows[0], rows[1], out=self._product)
+        for r in rows[2:]:
+            prod *= r
+        return prod.sum(axis=1)
 
 
 class KernelBackend:
@@ -134,10 +209,12 @@ class KernelBackend:
     def prepare_als(self, shape, indices, values, plan=None):
         """Per-fit setup; returns the context ``als_update`` consumes.
 
-        The returned context exposes ``.indices`` (the index array the
-        caller should evaluate objectives against) so plan-canonical and
-        as-given layouts stay interchangeable.  ``plan`` is honoured
-        only by plan-reuse backends; others ignore it.
+        The returned context is a ``_FitContext``: it exposes
+        ``.indices`` (the index array the caller should evaluate
+        objectives against) so plan-canonical and as-given layouts stay
+        interchangeable, and the ``refresh``/``evaluate`` hooks the ALS
+        loops call.  ``plan`` is honoured only by plan-reuse backends;
+        others ignore it.
         """
         raise NotImplementedError
 
@@ -482,20 +559,16 @@ class NumpyBatchedBackend(KernelBackend):
         return plan
 
     def prepare_als(self, shape, indices, values, plan=None):
-        plan = self._plan_for(shape, indices, plan)
-        d = len(shape)
-        return _FitContext(
-            plan=plan,
-            indices=plan.indices,
-            t_sorted=[plan.sorted_values(values, j) for j in range(d)],
-        )
+        return _ALSRowCache(self._plan_for(shape, indices, plan), values)
 
     def als_update(self, ctx, factors, j, lam, scale_rows):
         from repro.core.completion.als import _solve_rows_batched
 
         _solve_rows_batched(
-            ctx.plan, j, factors, ctx.t_sorted[j], lam, factors[j], scale_rows
+            ctx.plan.mode(j), ctx.design_rows(factors, j), ctx.t_sorted[j],
+            lam, factors[j], scale_rows,
         )
+        ctx.refresh(factors, (j,))
 
     def prepare_amn(self, shape, indices, logt, plan=None):
         plan = self._plan_for(shape, indices, plan)
@@ -725,6 +798,7 @@ class NumbaJITBackend(NumpyBatchedBackend):
             G, b,
         )
         factors[j][mp.obs_rows] = solve_batched_spd(G, b)
+        ctx.refresh(factors, (j,))
 
     def amn_update(self, ctx, factors, j, lam, eta, max_iter, tol):
         from repro.core.completion.amn import _POS_FLOOR

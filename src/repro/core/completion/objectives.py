@@ -43,7 +43,7 @@ def columnwise_penalty(factors: list, lam) -> float:
     )
 
 
-def ls_objective(factors, indices, values, lam: float) -> float:
+def ls_objective(factors, indices, values, lam: float, pred=None) -> float:
     """Eq. 3 with least-squares loss, scaled by ``1/|Omega|``.
 
     Returns ``(sum_Omega (t - that)^2 + lam * sum_j ||U_j||_F^2) / |Omega|``.
@@ -51,8 +51,12 @@ def ls_objective(factors, indices, values, lam: float) -> float:
     observation sets while preserving exact monotonicity of block
     coordinate descent (ALS with ``scale_rows=False``, CCD), since a
     positive constant scaling cannot change the ordering of values.
+    ``pred``, when given, is the model at ``indices`` already evaluated
+    (an ALS fit context's ``evaluate``) and replaces ``cp_eval``.
     """
-    resid = cp_eval(factors, indices) - values
+    if pred is None:
+        pred = cp_eval(factors, indices)
+    resid = pred - values
     n = len(values)
     return float((np.sum(resid**2) + frobenius_penalty(factors, lam)) / n)
 

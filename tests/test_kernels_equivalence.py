@@ -31,6 +31,9 @@ ORDERS = {
     3: (11, 6, 9),
     4: (8, 5, 7, 4),
     5: (6, 4, 5, 3, 4),
+    # The high orders the paper's applications reach (6-9 parameters).
+    6: (5, 3, 4, 3, 4, 3),
+    9: (3, 4, 2, 3, 2, 3, 4, 2, 3),
 }
 
 
