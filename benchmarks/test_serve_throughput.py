@@ -8,6 +8,9 @@ overhead across the batch).  Also times the protocol layer in chunks:
 in-process ``ModelServer.handle(dict)`` calls — request validation,
 engine, and response building, with no socket and no JSON decode (the
 HTTP round trip is measured by ``perfbench/run.py --workload serve``).
+A second record times one 128-row ``PredictionEngine.predict`` on exafmm,
+whose six interpolating modes give every row 64 corners, so the corner
+evaluation shows there (on bcast, ``d = 3``, each row has only 8).
 Records go to ``results/BENCH_serve.json`` for the CI regression gate;
 the ``server_*`` keys name this in-process path.
 """
@@ -16,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.apps import Broadcast
+from repro.apps import Broadcast, ExaFMM
 from repro.core import CPRModel
 from repro.datasets import generate_dataset
 from repro.serve import ModelRegistry, ModelServer, PredictionEngine
@@ -26,6 +29,8 @@ from _report import perf_asserts_enabled, report, report_perf, run_once
 N_QUERIES = 10_000
 N_TRAIN = 4096
 _SERVER_CHUNK = 512  # rows per handle() request on the protocol path
+_CORNER_ROWS = 128  # rows per request in the high-order predict record
+_CORNER_TRAIN = 2048
 
 
 def _best_of(fn, repeats=3):
@@ -96,13 +101,35 @@ def _run():
             "server_qps": round(N_QUERIES / server_s),
             "batched_speedup": round(loop_s / batched_s, 2),
             "server_speedup": round(loop_s / server_s, 2),
-        }
+        },
+        _run_high_order(),
     ]
+
+
+def _run_high_order():
+    """One 128-row engine predict on exafmm (64 corners per row)."""
+    app = ExaFMM()
+    train = generate_dataset(app, _CORNER_TRAIN, seed=0)
+    model = CPRModel(space=app.space, cells=16, rank=4, seed=0).fit(
+        train.X, train.y
+    )
+    X = app.space.sample(_CORNER_ROWS, rng=np.random.default_rng(1))
+    engine = PredictionEngine(model, name="exafmm-cpr")
+    engine.predict(X)  # warm-up
+    predict_s, y = _best_of(lambda: engine.predict(X), repeats=200)
+    np.testing.assert_array_equal(y, model.predict(X))
+    return {
+        "config": "predict_128_exafmm",
+        "rows": _CORNER_ROWS,
+        "train": _CORNER_TRAIN,
+        "corners": 2 ** model.grid_.order,
+        "engine_predict_s": round(predict_s, 6),
+    }
 
 
 def test_serve_throughput(benchmark):
     records = run_once(benchmark, _run)
-    r = records[0]
+    r, corner = records
     report("serve_throughput", {
         "headers": ["path", "seconds", "queries/s", "speedup vs loop"],
         "rows": [
@@ -111,6 +138,8 @@ def test_serve_throughput(benchmark):
              r["batched_speedup"]],
             ["handle(), in-process", r["server_s"], r["server_qps"],
              r["server_speedup"]],
+            ["exafmm 128-row engine predict", corner["engine_predict_s"],
+             round(corner["rows"] / corner["engine_predict_s"]), "-"],
         ],
         "notes": "batched engine >= 10x per-point loop at 10k queries",
     })

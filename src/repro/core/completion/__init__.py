@@ -32,6 +32,7 @@ from repro.core.completion.state import (
     ObservationPlan,
     cp_component_norms,
     cp_eval,
+    cp_eval_corners,
     cp_full,
     cp_size_bytes,
     init_factors,
@@ -65,6 +66,7 @@ __all__ = [
     "init_positive_factors",
     "cp_component_norms",
     "cp_eval",
+    "cp_eval_corners",
     "cp_full",
     "cp_size_bytes",
     "khatri_rao_rows",

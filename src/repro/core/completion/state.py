@@ -17,6 +17,7 @@ __all__ = [
     "init_factors",
     "init_positive_factors",
     "cp_eval",
+    "cp_eval_corners",
     "cp_full",
     "cp_size_bytes",
     "khatri_rao_rows",
@@ -86,6 +87,41 @@ def cp_eval(factors: list, indices: np.ndarray) -> np.ndarray:
     for j in range(1, len(factors)):
         prod *= factors[j][indices[:, j]]
     return prod.sum(axis=1)
+
+
+def cp_eval_corners(lo_rows: list, hi_rows: list) -> np.ndarray:
+    """Evaluate the CP model at every corner of per-row cell lattices.
+
+    ``lo_rows[j]`` holds the ``(n, R)`` factor rows of mode ``j``'s lower
+    corner; ``hi_rows[j]`` holds its upper corner's rows for an
+    interpolating mode and is ``None`` for a fixed one.  With ``q``
+    interpolating modes the result is ``(2^q, n)``: bit ``b`` of the
+    corner index selects the upper rows of the ``b``-th interpolating mode
+    (the :func:`repro.core.interp.interpolate` corner order).
+
+    The product is built by doubling in increasing mode order: a fixed
+    mode multiplies the running ``(2^b, n, R)`` product in place, an
+    interpolating one extends it to ``[P * lo ; P * hi]``.  Each corner
+    thus sees the same multiplications in the same order as
+    :func:`cp_eval` on its stacked multi-index, and the same reduction
+    over ``R``, so the values are bitwise identical while every factor row
+    is gathered once instead of once per corner.
+    """
+    q = sum(h is not None for h in hi_rows)
+    n, R = lo_rows[0].shape
+    prod = np.empty((1 << q, n, R))
+    prod[0] = lo_rows[0]
+    size = 1
+    if hi_rows[0] is not None:
+        prod[1] = hi_rows[0]
+        size = 2
+    for lo, hi in zip(lo_rows[1:], hi_rows[1:]):
+        head = prod[:size]
+        if hi is not None:
+            np.multiply(head, hi, out=prod[size : 2 * size])
+            size *= 2
+        head *= lo
+    return prod.sum(axis=-1)
 
 
 def khatri_rao_rows(

@@ -15,6 +15,15 @@ interior and is replaced by linear extrapolation at the fringe, as the
 paper prescribes).
 
 Categorical modes never interpolate: the cell index is used directly.
+
+Corner contract: :func:`interpolate` hands its evaluator the per-mode
+corners ``(lo, hi, active)`` of every row, not a stacked index array, and
+expects back the ``(2^q, n)`` corner values (bit ``b`` of the corner
+index selects ``hi`` for the ``b``-th active mode).  A CP evaluator can
+then gather each factor's rows once per mode and form all corner
+products by doubling (:func:`repro.core.completion.cp_eval_corners`);
+evaluators that need explicit multi-indices wrap an element map with
+:func:`stacked`.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ import numpy as np
 
 from repro.core.grid import TensorGrid
 
-__all__ = ["interpolation_weights", "corner_stack", "interpolate"]
+__all__ = ["interpolation_weights", "stacked", "interpolate"]
 
 
 def interpolation_weights(grid: TensorGrid, X: np.ndarray, active=None):
@@ -81,54 +90,49 @@ def interpolation_weights(grid: TensorGrid, X: np.ndarray, active=None):
     return lo, hi, w_lo, w_hi, active
 
 
-def corner_stack(grid: TensorGrid, X: np.ndarray, active=None):
-    """All ``2^q`` corner multi-indices and weights, stacked corner-major.
+def stacked(element_eval):
+    """Adapt a multi-index evaluator to :func:`interpolate`'s corner contract.
 
-    Returns
-    -------
-    idx : (2^q * n, d) int array
-        Corner ``c``'s multi-indices occupy rows ``c*n : (c+1)*n`` (binary
-        counting over the active modes, bit ``b`` selecting ``hi`` for
-        active mode ``b``).
-    w : (2^q, n) float array
-        Matching Eq. 5 weight products (signed at the fringe).
-    active : (d,) bool array
-        The resolved active-mode mask.
+    ``element_eval`` maps multi-indices ``(m, d)`` to values ``(m,)`` (e.g.
+    a Tucker evaluation).  The returned corner evaluator stacks all ``2^q``
+    corner multi-indices corner-major into one ``(2^q * n, d)`` array,
+    calls ``element_eval`` once on it, and reshapes to ``(2^q, n)``.
     """
-    lo, hi, w_lo, w_hi, active = interpolation_weights(grid, X, active)
-    n, d = lo.shape
-    act = np.flatnonzero(active)
-    C = 1 << len(act)
-    idx = np.broadcast_to(lo, (C, n, d)).copy()
-    w = np.ones((C, n))
-    corners = np.arange(C)
-    for b, j in enumerate(act):
-        up = ((corners >> b) & 1).astype(bool)
-        idx[up, :, j] = hi[:, j]
-        w[up] *= w_hi[:, j]
-        w[~up] *= w_lo[:, j]
-    return idx.reshape(C * n, d), w, active
+
+    def corner_eval(lo, hi, active):
+        n, d = lo.shape
+        act = np.flatnonzero(active)
+        C = 1 << len(act)
+        idx = np.broadcast_to(lo, (C, n, d)).copy()
+        corners = np.arange(C)
+        for b, j in enumerate(act):
+            idx[((corners >> b) & 1).astype(bool), :, j] = hi[:, j]
+        vals = element_eval(idx.reshape(C * n, d))
+        return np.asarray(vals, dtype=float).reshape(C, n)
+
+    return corner_eval
 
 
 def interpolate(grid: TensorGrid, corner_eval, X: np.ndarray, active=None) -> np.ndarray:
     """Evaluate Eq. 5: blend ``corner_eval`` over the neighbouring corners.
 
-    The ``2^q`` corner lattices are stacked into one ``(2^q * n, d)`` index
-    array and ``corner_eval`` is invoked exactly *once*; the blend is then
-    a single weighted reduction.  This keeps the whole prediction path
-    inside vectorized kernels instead of ``2^q`` Python-level callback
-    round-trips (see DESIGN.md).
+    ``corner_eval`` is invoked exactly *once* for the whole batch; the
+    blend is then a single weighted reduction over the ``2^q`` corners.
+    This keeps the whole prediction path inside vectorized kernels instead
+    of ``2^q`` Python-level callback round-trips (see DESIGN.md).
 
     Parameters
     ----------
     corner_eval
-        Callable mapping multi-indices ``(m, d)`` to tensor-element
-        estimates ``(m,)`` — e.g. ``exp`` of a CP evaluation for the
-        interpolation model, or the raw positive CP evaluation for the
-        extrapolation model.  Must be a pure element-wise map: it is called
-        with all corners of all configurations stacked along axis 0, and
-        must return finite values (zero-weight corners are no longer
-        skipped, so a non-finite estimate would poison the blend).
+        Callable ``corner_eval(lo, hi, active)`` taking the per-mode corner
+        cells of :func:`interpolation_weights` (``lo``/``hi`` of shape
+        ``(n, d)``, ``active`` of shape ``(d,)``) and returning the
+        ``(2^q, n)`` tensor-element estimates of every corner, where bit
+        ``b`` of the corner index selects ``hi`` for the ``b``-th active
+        mode — e.g. log CP values for the interpolation model.  Wrap a
+        multi-index evaluator with :func:`stacked`.  Values must be finite:
+        zero-weight corners are not skipped, so a non-finite estimate would
+        poison the blend.
     active
         Optional per-mode interpolation mask (see
         :func:`interpolation_weights`); Section 5.3 disables interpolation
@@ -140,7 +144,12 @@ def interpolate(grid: TensorGrid, corner_eval, X: np.ndarray, active=None) -> np
         # shutdown); never invoke ``corner_eval`` on zero corners, since
         # extrapolating corner evaluators assume at least one row.
         return np.zeros(0)
-    idx, w, _ = corner_stack(grid, X, active)
-    C, n = w.shape
-    vals = np.asarray(corner_eval(idx), dtype=float).reshape(C, n)
+    lo, hi, w_lo, w_hi, active = interpolation_weights(grid, X, active)
+    # Eq. 5 weight products, doubled per active mode in the same bit order
+    # as the corner values: corner c's weight is the product of its
+    # per-mode weights in increasing mode order.
+    w = np.ones((1, len(X)))
+    for j in np.flatnonzero(active):
+        w = np.concatenate([w * w_lo[:, j], w * w_hi[:, j]])
+    vals = np.asarray(corner_eval(lo, hi, active), dtype=float).reshape(w.shape)
     return np.einsum("cn,cn->n", w, vals)

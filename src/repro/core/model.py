@@ -25,19 +25,21 @@ Example
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.apps.base import ParameterSpace
 from repro.core.completion import (
     OPTIMIZERS,
     ObservationPlan,
-    cp_eval,
+    cp_eval_corners,
     cp_size_bytes,
     resolve_backend,
 )
 from repro.core.extrap import ModeExtrapolator
 from repro.core.grid import LogMode, TensorGrid, UniformMode
-from repro.core.interp import interpolate
+from repro.core.interp import interpolate, stacked
 from repro.core.tensor import ObservedTensor
 from repro.metrics import METRICS
 from repro.utils.serialization import model_size_bytes
@@ -314,9 +316,23 @@ class CPRModel:
         """Per-mode factor matrices (hook for non-CP decompositions)."""
         return self.factors_
 
-    def _model_value(self, indices: np.ndarray) -> np.ndarray:
-        """Raw decomposition values at multi-indices."""
-        return cp_eval(self.factors_, indices)
+    def _corner_values(self, lo, hi, active, fixed=None) -> np.ndarray:
+        """Raw decomposition values at every interpolation corner, ``(2^q, n)``.
+
+        Each factor's lower/upper corner rows are gathered once and
+        multiplied by doubling (:func:`cp_eval_corners`).  ``fixed`` maps
+        an inactive mode to ``(n, R)`` rows that replace its gathered rows
+        (Section 5.3's extrapolated factor rows).
+        """
+        fixed = fixed or {}
+        lo_rows = [
+            fixed[j] if j in fixed else U[lo[:, j]]
+            for j, U in enumerate(self.factors_)
+        ]
+        hi_rows = [
+            U[hi[:, j]] if active[j] else None for j, U in enumerate(self.factors_)
+        ]
+        return cp_eval_corners(lo_rows, hi_rows)
 
     # -- streaming updates (paper Section 8's online setting) -----------------
 
@@ -426,15 +442,13 @@ class CPRModel:
 
     # -- element estimation ----------------------------------------------------
 
-    def _element(self, indices: np.ndarray) -> np.ndarray:
-        """Estimated tensor elements (execution-time units) at multi-indices."""
-        val = self._model_value(indices)
-        if self.loss == "log_mse":
-            return np.exp(np.clip(self.offset_ + val, self._log_lo, self._log_hi))
-        return np.exp(self.offset_) * val
+    def _log_corners(self, lo, hi, active, fixed=None) -> np.ndarray:
+        """Log-space element estimates at every corner (the blend input).
 
-    def _log_element(self, indices: np.ndarray) -> np.ndarray:
-        """Log-space element estimates, clamped (the log_mse blend input).
+        The log_mse model clamps ``offset + value`` to the observed log
+        range; the mlogq2 model takes the log of its positive element
+        ``e^offset * value``.  ``fixed`` is passed to
+        :meth:`_corner_values`.
 
         The paper's Section 5.2 display blends exponentiated elements
         ``e^that``; we blend in log space and exponentiate the blend, i.e.
@@ -444,8 +458,10 @@ class CPRModel:
         share — in sparse high-dimensional tensors this is the difference
         between a usable and a broken interpolant (see DESIGN.md).
         """
-        val = self._model_value(indices)
-        return np.clip(self.offset_ + val, self._log_lo, self._log_hi)
+        val = self._corner_values(lo, hi, active, fixed)
+        if self.loss == "log_mse":
+            return np.clip(self.offset_ + val, self._log_lo, self._log_hi)
+        return np.log(np.maximum(np.exp(self.offset_) * val, 1e-300))
 
     def _extrapolator(self, j: int) -> ModeExtrapolator:
         if self.loss != "mlogq2":
@@ -577,11 +593,7 @@ class CPRModel:
         out = np.empty(len(X))
         if fully_in.any():
             rows = np.flatnonzero(fully_in)
-            if self.loss == "log_mse":
-                out[rows] = np.exp(interpolate(self.grid_, self._log_element, X[rows]))
-            else:
-                log_elem = lambda idx: np.log(np.maximum(self._element(idx), 1e-300))
-                out[rows] = np.exp(interpolate(self.grid_, log_elem, X[rows]))
+            out[rows] = np.exp(interpolate(self.grid_, self._log_corners, X[rows]))
         if not fully_in.all():
             self._predict_extrapolated(X, in_dom, ~fully_in, out)
         # Signed fringe weights can produce non-positive blends; clamp to a
@@ -589,42 +601,28 @@ class CPRModel:
         return np.maximum(out, 1e-16)
 
     def _predict_extrapolated(self, X, in_dom, rows_mask, out) -> None:
-        """Handle rows with at least one out-of-domain numerical mode."""
+        """Handle rows with at least one out-of-domain numerical mode.
+
+        Rows are grouped by their set of outside modes.  Each group blends
+        over its in-domain modes only, with every outside mode fixed at
+        its extrapolated factor rows.
+        """
         rows = np.flatnonzero(rows_mask)
-        patterns: dict[tuple, list] = {}
-        for r in rows:
-            key = tuple(np.flatnonzero(~in_dom[r]))
-            patterns.setdefault(key, []).append(r)
-        scale = np.exp(self.offset_)
-        d = self.grid_.order
-        for key, rlist in patterns.items():
-            ridx = np.asarray(rlist, dtype=np.intp)
+        patterns, group = np.unique(~in_dom[rows], axis=0, return_inverse=True)
+        group = group.ravel()
+        can_interp = np.array(
+            [m.interpolates and m.n_cells > 1 for m in self.grid_.modes]
+        )
+        for g, outside in enumerate(patterns):
+            ridx = rows[group == g]
             Xg = X[ridx]
-            ext_rows = {j: self._extrapolator(j).factor_rows(Xg[:, j]) for j in key}
-            outside = set(key)
-
-            def corner_eval(idx, _ext=ext_rows, _outside=outside, _n=len(ridx)):
-                # ``interpolate`` stacks all 2^q corners corner-major, so the
-                # per-configuration extrapolated factor rows tile verbatim.
-                reps = len(idx) // _n
-                prod = None
-                for j in range(d):
-                    if j in _outside:
-                        f = np.tile(_ext[j], (reps, 1))
-                    else:
-                        f = self.factors_[j][idx[:, j]]
-                    prod = f.copy() if prod is None else prod * f
-                val = scale * prod.sum(axis=1)
-                return np.log(np.maximum(val, 1e-300))
-
-            active = np.array(
-                [
-                    m.interpolates and m.n_cells > 1 and (j not in outside)
-                    for j, m in enumerate(self.grid_.modes)
-                ]
-            )
+            fixed = {
+                j: self._extrapolator(j).factor_rows(Xg[:, j])
+                for j in np.flatnonzero(outside).tolist()
+            }
+            corner_eval = functools.partial(self._log_corners, fixed=fixed)
             out[ridx] = np.exp(
-                interpolate(self.grid_, corner_eval, Xg, active=active)
+                interpolate(self.grid_, corner_eval, Xg, active=can_interp & ~outside)
             )
 
     # -- assessment ---------------------------------------------------------------
@@ -851,8 +849,8 @@ class TuckerModel(CPRModel):
     def _factor_list(self) -> list:
         return self.tucker_.factors
 
-    def _model_value(self, indices: np.ndarray) -> np.ndarray:
-        return self.tucker_.eval_at(indices)
+    def _corner_values(self, lo, hi, active, fixed=None) -> np.ndarray:
+        return stacked(self.tucker_.eval_at)(lo, hi, active)
 
     def _extrapolator(self, j: int):
         raise ValueError(

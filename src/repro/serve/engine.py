@@ -5,8 +5,8 @@ The engine is the serving hot path: a query batch is validated once
 model's fused corner-blend evaluation in **one vectorized call per
 chunk** — there is no per-point Python loop anywhere between the JSON
 boundary and the BLAS kernels.  Chunking (``max_batch``) only bounds the
-transient ``2^q x n`` corner-stack memory for pathological batch sizes;
-within a chunk everything is a single ``cp_eval``.
+transient ``2^q x n x R`` corner-product memory for pathological batch
+sizes; within a chunk everything is a single corner evaluation.
 
 Every flush is timed, so :meth:`stats` doubles as the microbatching
 telemetry: under a coalescing server, ``queries / batches`` is the

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grid import CategoricalMode, LogMode, TensorGrid, UniformMode
-from repro.core.interp import interpolate, interpolation_weights
+from repro.core.interp import interpolate, interpolation_weights, stacked
 
 
 def _uniform_grid_2d():
@@ -76,7 +76,7 @@ class TestInterpolate:
 
         gen = np.random.default_rng(0)
         X = gen.uniform(0.5, 7.5, size=(100, 2))  # inside midpoint hull
-        pred = interpolate(g, corner_eval, X)
+        pred = interpolate(g, stacked(corner_eval), X)
         np.testing.assert_allclose(pred, 2.0 * X[:, 0] + 3.0 * X[:, 1] + 1.0,
                                    rtol=1e-12)
 
@@ -90,7 +90,7 @@ class TestInterpolate:
         gen = np.random.default_rng(1)
         X = gen.uniform(0.5, 7.5, size=(50, 2))
         np.testing.assert_allclose(
-            interpolate(g, corner_eval, X), X[:, 0] * X[:, 1], rtol=1e-12
+            interpolate(g, stacked(corner_eval), X), X[:, 0] * X[:, 1], rtol=1e-12
         )
 
     def test_log_mode_interpolates_in_log_space(self):
@@ -102,7 +102,7 @@ class TestInterpolate:
 
         X = np.array([[3.0], [10.0], [100.0]])
         np.testing.assert_allclose(
-            interpolate(g, corner_eval, X), 5.0 * np.log(X[:, 0]), rtol=1e-12
+            interpolate(g, stacked(corner_eval), X), 5.0 * np.log(X[:, 0]), rtol=1e-12
         )
 
     def test_fringe_is_linear_extrapolation(self):
@@ -115,7 +115,7 @@ class TestInterpolate:
         # beyond the last midpoint (7.5) but inside the domain
         X = np.array([[7.9], [0.05]])
         np.testing.assert_allclose(
-            interpolate(g, corner_eval, X), 2.0 * X[:, 0], rtol=1e-12
+            interpolate(g, stacked(corner_eval), X), 2.0 * X[:, 0], rtol=1e-12
         )
 
     def test_categorical_passthrough(self):
@@ -128,7 +128,7 @@ class TestInterpolate:
 
         X = np.array([[0.0, 2.0], [2.0, 2.0]])
         np.testing.assert_allclose(
-            interpolate(g, corner_eval, X), [12.0, 32.0]
+            interpolate(g, stacked(corner_eval), X), [12.0, 32.0]
         )
 
     def test_active_mask_disables_interpolation(self):
@@ -139,7 +139,7 @@ class TestInterpolate:
             calls.append(idx.copy())
             return np.ones(len(idx))
 
-        interpolate(g, corner_eval, np.array([[3.3, 4.7]]),
+        interpolate(g, stacked(corner_eval), np.array([[3.3, 4.7]]),
                     active=np.array([True, False]))
         # The fused blend makes exactly one stacked call, covering only the
         # 2 corners of the single active mode (not 4).
@@ -161,7 +161,7 @@ class TestInterpolate:
             gen.uniform(0, 1, 200),
             gen.integers(0, 5, 200).astype(float),
         ])
-        pred = interpolate(g, lambda idx: np.full(len(idx), 7.5), X)
+        pred = interpolate(g, stacked(lambda idx: np.full(len(idx), 7.5)), X)
         np.testing.assert_allclose(pred, 7.5, rtol=1e-12)
 
 
@@ -179,5 +179,5 @@ def test_property_univariate_linear_exact(x, slope, intercept):
     def corner_eval(idx):
         return slope * mids[idx[:, 0]] + intercept
 
-    pred = interpolate(g, corner_eval, np.array([[x]]))
+    pred = interpolate(g, stacked(corner_eval), np.array([[x]]))
     assert pred[0] == pytest.approx(slope * x + intercept, rel=1e-9, abs=1e-9)
