@@ -1,19 +1,16 @@
 """Throughput benchmark: registered completion backends vs reference loops.
 
 Times ALS and AMN fits for *every* backend in the kernel registry
-(``reference`` per-row loops as the baseline, ``numpy_batched``, and —
-where numba is installed — ``numba_jit``) plus fused-blend prediction
-throughput at small / medium / large grid-rank combinations, and appends
-the records to ``results/BENCH_completion.json`` so future PRs inherit a
-perf trajectory.  Backends whose availability probe fails are recorded
-as skipped (with the probe's reason), not silently dropped, so the CI
-numba leg and numba-less hosts produce comparable trajectories.  The
-large configuration (64 cells per mode, rank 16, order 4) is the
-paper-scale setting the batched rewrite targets: the assertions require
-the vectorized kernels to hold at least a 5x fit speedup there.  The
-sweep configuration (8 cells per mode, rank 4, order 9) is the shape of
-the paper pipeline's most frequent fits, where per-call overhead rather
-than arithmetic sets the ALS sweep cost.
+(``reference`` per-row loops as the baseline, and ``numpy_batched``)
+plus fused-blend prediction throughput at small / medium / large
+grid-rank combinations, and appends the records to
+``results/BENCH_completion.json`` so future PRs inherit a perf
+trajectory.  The large configuration (64 cells per mode, rank 16,
+order 4) is the paper-scale setting the batched rewrite targets: the
+assertions require the vectorized kernels to hold at least a 5x fit
+speedup there.  The sweep configuration (8 cells per mode, rank 4,
+order 9) is the shape of the paper pipeline's most frequent fits, where
+per-call overhead rather than arithmetic sets the ALS sweep cost.
 """
 import time
 
@@ -21,9 +18,9 @@ import numpy as np
 
 from repro.core import CPRModel
 from repro.core.completion import (
+    backend_names,
     complete_als,
     complete_amn,
-    registered_backends,
 )
 
 from _report import perf_asserts_enabled, report, report_perf, run_once
@@ -60,18 +57,7 @@ def _best_of(fn, repeats=3):
     return best, out
 
 
-def _backends_record():
-    """One registry-status record: what ran, what was skipped and why."""
-    available, skipped = [], {}
-    for b in registered_backends():
-        if b.available():
-            available.append(b.name)
-        else:
-            skipped[b.name] = b.unavailable_reason()
-    return {"config": "backends", "available": available, "skipped": skipped}
-
-
-def _fit_records(available):
+def _fit_records():
     records = []
     for name, cells, order, rank, nnz in CONFIGS:
         shape, idx, vals = _problem(cells, order, rank, nnz)
@@ -84,7 +70,7 @@ def _fit_records(available):
         ):
             times = {}
             hist = {}
-            for backend in available:
+            for backend in backend_names():
                 if opt == "als":
                     fn = lambda k=backend: complete_als(
                         *args, rank=rank, max_sweeps=_ALS_SWEEPS, tol=0.0,
@@ -95,11 +81,11 @@ def _fit_records(available):
                         *args, rank=rank, tol=1e-6, seed=1, kernel=k,
                         **_AMN_OPTS,
                     )
-                fn()  # warm-up (buffer setup, JIT compile, BLAS spin-up)
+                fn()  # warm-up (buffer setup, BLAS spin-up)
                 times[backend], res = _best_of(fn)
                 hist[backend] = res.history[-1]
                 row[f"{opt}_{backend}_s"] = round(times[backend], 4)
-            for backend in available:
+            for backend in backend_names():
                 if backend == "reference":
                     continue
                 # every backend optimizes the identical problem identically
@@ -109,17 +95,6 @@ def _fit_records(available):
                 )
                 row[f"{opt}_{backend}_speedup"] = round(
                     times["reference"] / times[backend], 2
-                )
-            # Legacy key names for trajectory continuity with entries
-            # recorded before the backend registry existed.
-            row[f"{opt}_batched_s"] = row[f"{opt}_numpy_batched_s"]
-            row[f"{opt}_speedup"] = row[f"{opt}_numpy_batched_speedup"]
-            if "numba_jit" in available:
-                # The acceptance metric of the numba backend: measured
-                # gain over the numpy vectorized path, not just over the
-                # per-row reference.
-                row[f"{opt}_numba_jit_vs_numpy_batched"] = round(
-                    times["numpy_batched"] / times["numba_jit"], 2
                 )
         records.append(row)
     return records
@@ -143,41 +118,24 @@ def _predict_record():
 
 
 def _run():
-    status = _backends_record()
-    records = _fit_records(status["available"])
-    records.append(_predict_record())
-    records.append(status)
-    return records
+    return _fit_records() + [_predict_record()]
 
 
 def test_perf_completion(benchmark):
     records = run_once(benchmark, _run)
-    status = [r for r in records if r["config"] == "backends"][0]
-    jit = "numba_jit" in status["available"]
     headers = ["config", "als ref (s)", "als numpy (s)", "als x",
                "amn ref (s)", "amn numpy (s)", "amn x"]
-    if jit:
-        headers += ["als jit x", "amn jit x"]
-    rows = []
-    for r in records:
-        if "als_numpy_batched_speedup" not in r:
-            continue
-        row = [r["config"], r["als_reference_s"], r["als_numpy_batched_s"],
-               r["als_numpy_batched_speedup"], r["amn_reference_s"],
-               r["amn_numpy_batched_s"], r["amn_numpy_batched_speedup"]]
-        if jit:
-            row += [r["als_numba_jit_vs_numpy_batched"],
-                    r["amn_numba_jit_vs_numpy_batched"]]
-        rows.append(row)
+    rows = [
+        [r["config"], r["als_reference_s"], r["als_numpy_batched_s"],
+         r["als_numpy_batched_speedup"], r["amn_reference_s"],
+         r["amn_numpy_batched_s"], r["amn_numpy_batched_speedup"]]
+        for r in records if "als_numpy_batched_speedup" in r
+    ]
     pred = [r for r in records if r["config"] == "predict_large"][0]
-    skipped = ", ".join(
-        f"{k} ({v})" for k, v in status["skipped"].items()
-    ) or "none"
     report("perf_completion", {
         "headers": headers,
         "rows": rows,
-        "notes": f"predict: {pred['queries_per_s']}/s; vectorized >= 5x at "
-                 f"'large'; skipped backends: {skipped}",
+        "notes": f"predict: {pred['queries_per_s']}/s; vectorized >= 5x at 'large'",
     })
     report_perf("completion", records)
 

@@ -14,15 +14,13 @@
 The ALS/AMN hot loops dispatch their per-mode solves through the
 kernel-backend registry (:mod:`repro.core.completion.backends`):
 ``reference`` (per-row loops), ``numpy_batched`` (vectorized plan-sharing
-path, alias ``"batched"``) and the optional JIT-compiled ``numba_jit``.
+path, alias ``"batched"``, the default).
 """
 from repro.core.completion.backends import (
     KernelBackend,
-    available_backends,
     backend_names,
     get_backend,
     register_backend,
-    registered_backends,
     resolve_backend,
     select_best,
 )
@@ -88,6 +86,4 @@ __all__ = [
     "resolve_backend",
     "select_best",
     "backend_names",
-    "registered_backends",
-    "available_backends",
 ]

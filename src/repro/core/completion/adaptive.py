@@ -165,11 +165,6 @@ def complete_als_regularized(
     if d < 2:
         raise ValueError("tensor completion needs order >= 2")
     backend = resolve_backend(kernel)
-    if not backend.supports_column_penalties:
-        raise ValueError(
-            f"kernel backend {backend.name!r} does not support column-wise "
-            "penalties (supports_column_penalties=False)"
-        )
     if factors is None:
         factors = init_factors(shape, rank, rng=as_generator(seed))
     else:

@@ -13,9 +13,9 @@ element-wise product of the other factors' rows).  Each row solve is an
 Implementation notes (hot path, vectorized per the hpc-parallel guides):
 
 * Mode updates are dispatched through the kernel-backend registry
-  (:mod:`repro.core.completion.backends`).  The default resolution picks
-  the fastest available backend; ``numpy_batched`` assembles *all* of a
-  mode's regularized normal systems at once (observations grouped per
+  (:mod:`repro.core.completion.backends`).  The default backend,
+  ``numpy_batched``, assembles *all* of a mode's regularized normal
+  systems at once (observations grouped per
   row by the fit-wide :class:`~repro.core.completion.state.ObservationPlan`,
   ragged per-row Gram matrices reduced with one zero-padded batched GEMM,
   the ``(n_rows, R, R)`` stack solved by a single batched LAPACK call).
@@ -212,7 +212,7 @@ def complete_als(
     kernel
         Backend name or :class:`KernelBackend` instance; ``None``
         resolves through the registry policy (``REPRO_KERNEL_BACKEND``
-        env, else the calibrated best — see
+        env, else ``numpy_batched`` — see
         :mod:`repro.core.completion.backends`).
     plan
         Optional pre-built :class:`ObservationPlan` for ``(shape,

@@ -249,7 +249,7 @@ def complete_amn(
     kernel
         Backend name or :class:`KernelBackend` instance; ``None``
         resolves through the registry policy (``REPRO_KERNEL_BACKEND``
-        env, else the calibrated best — see
+        env, else ``numpy_batched`` — see
         :mod:`repro.core.completion.backends`).
     plan
         Optional pre-built :class:`ObservationPlan` (honoured by

@@ -18,8 +18,9 @@ observation touches exactly ``d * R`` parameters.
 Practical only while ``R * sum_j I_j`` stays in the low thousands (the
 normal matrix is dense); that covers every grid in the paper's sweeps.
 LM's simultaneous updates avoid ALS's zig-zagging on ill-conditioned
-problems at a higher per-iteration cost — the optimizer ablation bench
-lets users compare directly.
+problems at a higher per-iteration cost.  It is reachable as
+``CPRModel(optimizer="lm")``; the optimizer ablation
+(``repro.experiments.ablations``) compares ALS, CCD and SGD only.
 """
 from __future__ import annotations
 

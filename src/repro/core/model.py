@@ -270,7 +270,7 @@ class CPRModel:
             kwargs["factors"] = self.factors_
         if getattr(fn, "accepts_kernel", False):
             # Resolve the kernel backend once per fit (env override >
-            # explicit config > calibrated best) and hand the optimizer
+            # explicit config > select_best) and hand the optimizer
             # the resolved object, so selection policy and manifest
             # attribution cannot disagree.  Plan caching/reuse is gated
             # on the backend's capability, not a name comparison: any
@@ -279,9 +279,6 @@ class CPRModel:
             kwargs["kernel"] = backend
             if backend.supports_plan_reuse:
                 kwargs["plan"] = self._completion_plan(tensor)
-            if warm_start and not backend.supports_partial_fit:
-                # A backend without warm-start support refits cold.
-                kwargs.pop("factors", None)
             self.fit_backend_ = backend.name
         else:
             if "kernel" in kwargs:

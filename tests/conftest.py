@@ -8,19 +8,6 @@ from repro.apps import ExaFMM, MatMul
 from repro.datasets import generate_dataset
 
 
-@pytest.fixture(autouse=True)
-def _isolated_kernel_calibration(tmp_path, monkeypatch):
-    """Point the kernel-calibration sidecar at a per-test path.
-
-    Backend selection persists its calibration winner to a JSON sidecar
-    (``REPRO_KERNEL_CALIBRATION``); tests must neither read a developer's
-    real cache nor write into it.
-    """
-    monkeypatch.setenv(
-        "REPRO_KERNEL_CALIBRATION", str(tmp_path / "kernel_calibration.json")
-    )
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -2,9 +2,9 @@
 
 Covers the strategy-registry contract of
 :mod:`repro.core.completion.backends` — name/alias lookup with helpful
-errors, the env > explicit > calibrated-best resolution order, the
-capability flags the model layer gates on (the plan-reuse gate used to
-be a ``kernel == "batched"`` string literal; these are its regression
+errors, the env > explicit > ``select_best`` resolution order, the
+plan-reuse capability the model layer gates on (the gate used to be a
+``kernel == "batched"`` string literal; these are its regression
 tests), and backend attribution flowing through persistence, registry
 manifests, engine stats, and the streaming trainer.
 """
@@ -15,7 +15,6 @@ from repro.core import CPRModel
 from repro.core.completion import (
     backend_names,
     get_backend,
-    registered_backends,
     resolve_backend,
     select_best,
 )
@@ -44,7 +43,7 @@ def clone_backend():
     The historical bug this guards: plan caching was gated on the literal
     name ``"batched"``, so an equivalent backend registered under any
     other name silently lost plan reuse.  The fixture unregisters on
-    teardown and drops the select_best cache (the clone is selectable).
+    teardown.
     """
 
     @register_backend
@@ -57,12 +56,11 @@ def clone_backend():
     finally:
         backends_mod._REGISTRY.pop("clone_test", None)
         backends_mod._ALIASES.pop("clone_alias", None)
-        backends_mod._SELECTED = None
 
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        assert {"reference", "numpy_batched", "numba_jit"} <= set(backend_names())
+        assert set(backend_names()) == {"reference", "numpy_batched"}
 
     def test_alias_resolves_to_same_object(self):
         assert get_backend("batched") is get_backend("numpy_batched")
@@ -80,22 +78,6 @@ class TestRegistry:
         b = get_backend("numpy_batched")
         assert get_backend(b) is b
         assert resolve_backend(b) is b
-
-    def test_unavailable_backend_raises_with_probe_reason(self):
-        b = get_backend("numba_jit", require_available=False)
-        if b.available():
-            pytest.skip("numba is installed here; unavailability untestable")
-        with pytest.raises(ValueError, match="not available"):
-            get_backend("numba_jit")
-        assert b.unavailable_reason()
-
-    def test_describe_is_capability_record(self):
-        for b in registered_backends():
-            d = b.describe()
-            assert {"name", "aliases", "available", "supports_plan_reuse",
-                    "supports_partial_fit", "selectable"} <= set(d)
-        assert get_backend("reference").describe()["selectable"] is False
-        assert get_backend("numpy_batched").describe()["supports_plan_reuse"]
 
     def test_duplicate_registration_rejected(self):
         before = backend_names()
@@ -125,120 +107,19 @@ class TestSelectionPolicy:
 
     def test_default_is_calibrated_best(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        b = resolve_backend(None)
-        assert b.available() and b.selectable
-        assert resolve_backend(None) is b  # cached for the process
+        assert resolve_backend(None) is select_best()
+        assert resolve_backend(None) is get_backend("numpy_batched")
 
-    def test_select_best_never_picks_reference(self):
-        assert select_best(force=True).name != "reference"
+    def test_select_best_never_picks_reference(self, clone_backend):
+        # Registering another plan-reuse backend does not move the default.
+        assert select_best() is get_backend("numpy_batched")
+        assert select_best() is not get_backend("reference")
 
     def test_env_override_reaches_model_fit(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "reference")
         X, y = _data()
         m = CPRModel(cells=4, rank=2, max_sweeps=4).fit(X, y)
         assert m.fit_backend_ == "reference"
-
-
-class TestCalibrationSidecar:
-    """select_best persists its winner to a JSON sidecar keyed by
-    (host, candidate set), so forked workers calibrate once per host.
-
-    Every test here registers the clone backend, guaranteeing at least
-    two selectable candidates even on hosts without numba (with a single
-    candidate no calibration — and no sidecar traffic — happens at all).
-    The autouse conftest fixture points ``REPRO_KERNEL_CALIBRATION`` at a
-    per-test temp file.
-    """
-
-    @pytest.fixture
-    def timed(self, monkeypatch):
-        """Count calibration timings (the expensive part select_best skips)."""
-        calls = {"n": 0}
-        real = backends_mod._calibration_time
-
-        def counting(backend):
-            calls["n"] += 1
-            return real(backend)
-
-        monkeypatch.setattr(backends_mod, "_calibration_time", counting)
-        monkeypatch.setattr(backends_mod, "_SELECTED", None)
-        return calls
-
-    def test_force_writes_sidecar_then_reload_skips_calibration(
-        self, clone_backend, timed, tmp_path
-    ):
-        import json
-        import os
-
-        path = os.environ["REPRO_KERNEL_CALIBRATION"]
-        first = select_best(force=True)
-        assert timed["n"] >= 2  # every candidate was actually timed
-        data = json.loads(open(path).read())
-        (key,) = data
-        assert "clone_test" in key  # keyed by the candidate set
-        assert data[key]["backend"] == first.name
-        # A fresh process (cache cleared) reads the verdict, never re-times.
-        backends_mod._SELECTED = None
-        timed["n"] = 0
-        assert select_best() is first
-        assert timed["n"] == 0
-
-    def test_corrupt_sidecar_reads_as_miss(self, clone_backend, timed):
-        import os
-        from pathlib import Path
-
-        path = Path(os.environ["REPRO_KERNEL_CALIBRATION"])
-        path.write_text("{not json")
-        best = select_best()
-        assert timed["n"] >= 2  # recalibrated
-        assert best.selectable
-        # ...and the rewrite healed the file.
-        import json
-
-        assert json.loads(path.read_text())
-
-    def test_stored_winner_outside_candidate_set_recalibrates(
-        self, clone_backend, timed
-    ):
-        import json
-        import os
-        from pathlib import Path
-
-        candidates = [
-            b for b in backends_mod.available_backends() if b.selectable
-        ]
-        key = backends_mod._calibration_key(candidates)
-        Path(os.environ["REPRO_KERNEL_CALIBRATION"]).write_text(
-            json.dumps({key: {"backend": "uninstalled_backend"}})
-        )
-        select_best()
-        assert timed["n"] >= 2  # stale verdict ignored, not trusted
-
-    def test_empty_env_var_disables_persistence(
-        self, clone_backend, timed, monkeypatch
-    ):
-        monkeypatch.setenv(backends_mod.CALIBRATION_ENV_VAR, "")
-        assert backends_mod._calibration_path() is None
-        best = select_best(force=True)
-        assert best.selectable  # selection works, nothing persisted
-        backends_mod._SELECTED = None
-        timed["n"] = 0
-        select_best()
-        assert timed["n"] >= 2  # no sidecar to answer from
-
-    def test_single_candidate_skips_calibration_and_sidecar(
-        self, timed, monkeypatch
-    ):
-        import os
-        from pathlib import Path
-
-        only = backends_mod.get_backend("numpy_batched")
-        monkeypatch.setattr(
-            backends_mod, "available_backends", lambda: [only]
-        )
-        assert select_best(force=True) is only
-        assert timed["n"] == 0
-        assert not Path(os.environ["REPRO_KERNEL_CALIBRATION"]).exists()
 
 
 class _SpyOptimizer:
@@ -303,19 +184,6 @@ class TestCapabilityGates:
         m.partial_fit(X[:40], y[:40])  # known cells: same index set
         assert spy_als.seen["plan"] is plan
 
-    def test_warm_start_dropped_without_partial_fit_support(self, spy_als):
-        class ColdProbe(NumpyBatchedBackend):
-            name = "cold_probe"
-            aliases = ()
-            supports_partial_fit = False
-
-        X, y = _data()
-        m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel=ColdProbe())
-        m.fit(X, y)
-        m.partial_fit(X[:40], y[:40])
-        # The capability gate popped the warm-start factors: cold refit.
-        assert spy_als.seen["has_factors"] is False
-
     def test_warm_start_kept_with_partial_fit_support(self, spy_als):
         X, y = _data()
         m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel="numpy_batched")
@@ -347,6 +215,21 @@ class TestAttribution:
         m = CPRModel(cells=4, rank=2, max_sweeps=4).fit(X, y)
         assert m.fit_backend_ in backend_names()
         assert m.describe()["fit_backend"] == m.fit_backend_
+
+    def test_batched_alias_resolves_after_reload(self):
+        # A model fitted with the historical "batched" name persists that
+        # name in opt_params; partial_fit after loads_model must resolve
+        # it, which is why numpy_batched keeps the alias.
+        from repro.utils.serialization import dumps_model, loads_model
+
+        X, y = _data()
+        m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel="batched")
+        m.fit(X, y)
+        restored = loads_model(dumps_model(m))
+        assert restored.opt_params["kernel"] == "batched"
+        restored.partial_fit(X[:40], y[:40])
+        assert restored.opt_params["kernel"] == "batched"
+        assert restored.fit_backend_ == "numpy_batched"
 
     def test_backend_survives_serialization_round_trip(self):
         from repro.utils.serialization import dumps_model, loads_model

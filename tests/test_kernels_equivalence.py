@@ -6,15 +6,14 @@ same sweeps, same histories, same factors — across tensor orders, ragged
 observation multiplicities (including rows with *no* observations), warm
 starts, and the streaming ``partial_fit`` path.  The parametrization is
 registry-derived: registering a new backend automatically subjects it to
-this suite, and unavailable backends (e.g. ``numba_jit`` without numba
-installed) are skipped with their probe's reason, not silently dropped.
-See DESIGN.md, "Kernel backends".
+this suite.  See DESIGN.md, "Kernel backends".
 """
 import numpy as np
 import pytest
 
 from repro.core.completion import (
     ObservationPlan,
+    backend_names,
     complete_als,
     complete_als_adaptive,
     complete_als_regularized,
@@ -22,7 +21,6 @@ from repro.core.completion import (
     get_backend,
     init_factors,
     init_positive_factors,
-    registered_backends,
 )
 from repro.core.completion.als import als_update_mode
 
@@ -37,23 +35,8 @@ ORDERS = {
 }
 
 
-def _backend_params(include_reference=False):
-    """One pytest param per registered backend, skip-marked if unavailable."""
-    params = []
-    for b in registered_backends():
-        if b.name == "reference" and not include_reference:
-            continue
-        marks = []
-        if not b.available():
-            marks.append(pytest.mark.skip(
-                reason=f"backend {b.name} unavailable: {b.unavailable_reason()}"
-            ))
-        params.append(pytest.param(b.name, marks=marks, id=b.name))
-    return params
-
-
 # Backends compared against the per-row reference (i.e. everything else).
-BACKENDS = _backend_params()
+BACKENDS = [name for name in backend_names() if name != "reference"]
 
 
 def _ragged_observations(shape, seed, positive=False):
@@ -326,8 +309,7 @@ class TestRegularizedEquivalence:
     The vector-``lam`` diagonal and the projection step are threaded
     through ``als_update`` exactly like the scalar path, so every
     registered backend owes the same 1e-8 contract the plain ALS suite
-    enforces — including backends that internally delegate vector
-    penalties (``numba_jit`` falls back to the numpy path).
+    enforces.
     """
 
     @pytest.mark.parametrize("penalties", ["graded", None])

@@ -6,29 +6,19 @@ from hypothesis import strategies as st
 
 from repro.core import CPRModel
 from repro.core.completion import (
+    backend_names,
     complete_als,
     complete_als_adaptive,
     complete_als_regularized,
     complete_amn,
-    registered_backends,
 )
 from repro.core.grid import LogMode, TensorGrid, UniformMode
 from repro.core.tensor import ObservedTensor
 
-# Every registered kernel backend, skip-marked when its availability
-# probe fails (e.g. numba_jit without numba installed) — the metamorphic
-# invariants below hold per backend, so registering a new one subjects
-# it to this suite automatically.
-KERNELS = [
-    pytest.param(
-        b.name,
-        id=b.name,
-        marks=[] if b.available() else [pytest.mark.skip(
-            reason=f"backend {b.name} unavailable: {b.unavailable_reason()}"
-        )],
-    )
-    for b in registered_backends()
-]
+# Every registered kernel backend — the metamorphic invariants below hold
+# per backend, so registering a new one subjects it to this suite
+# automatically.
+KERNELS = list(backend_names())
 
 
 def _make_data(seed, n=400):
