@@ -10,7 +10,10 @@ order 4) is the paper-scale setting the batched rewrite targets: the
 assertions require the vectorized kernels to hold at least a 5x fit
 speedup there.  The sweep configuration (8 cells per mode, rank 4,
 order 9) is the shape of the paper pipeline's most frequent fits, where
-per-call overhead rather than arithmetic sets the ALS sweep cost.
+per-call overhead rather than arithmetic sets the ALS sweep cost.  Each
+fit time is the best of 5 runs, with the backends timed round-robin
+(reference, numpy_batched, reference, ...) so that a burst of host noise
+hits both sides of a speedup ratio.
 """
 import time
 
@@ -57,6 +60,22 @@ def _best_of(fn, repeats=3):
     return best, out
 
 
+def _best_of_interleaved(fns, repeats=5):
+    """Best time and last result per name, timing ``fns`` round-robin.
+
+    Each round runs every function once, so a burst of host noise lands
+    on all sides of a speedup ratio instead of on one side's repeats.
+    """
+    best = {name: np.inf for name in fns}
+    out = {}
+    for _ in range(repeats):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            out[name] = fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return best, out
+
+
 def _fit_records():
     records = []
     for name, cells, order, rank, nnz in CONFIGS:
@@ -68,8 +87,7 @@ def _fit_records():
             ("als", (shape, idx, vals)),
             ("amn", (pshape, pidx, pvals)),
         ):
-            times = {}
-            hist = {}
+            fns = {}
             for backend in backend_names():
                 if opt == "als":
                     fn = lambda k=backend: complete_als(
@@ -82,8 +100,10 @@ def _fit_records():
                         **_AMN_OPTS,
                     )
                 fn()  # warm-up (buffer setup, BLAS spin-up)
-                times[backend], res = _best_of(fn)
-                hist[backend] = res.history[-1]
+                fns[backend] = fn
+            times, results = _best_of_interleaved(fns)
+            hist = {k: res.history[-1] for k, res in results.items()}
+            for backend in backend_names():
                 row[f"{opt}_{backend}_s"] = round(times[backend], 4)
             for backend in backend_names():
                 if backend == "reference":

@@ -77,20 +77,33 @@ class _FitContext:
 
 
 class _ALSRowCache(_FitContext):
-    """``numpy_batched`` ALS context: gathered factor rows, cached per fit.
+    """``numpy_batched`` ALS context: gathered factor rows and mode workspaces.
 
     ``rows[k]`` is ``U_k[indices[:, k]]`` in plan (observation) order,
     gathered for all modes at first use and then kept current:
     ``als_update`` re-gathers ``rows[j]`` right after solving mode ``j``,
     and every other write to the factors must be followed by
-    :meth:`refresh` of the modes written.  A mode update multiplies the
-    cached rows of the other modes, left to right in increasing mode (the
-    order of :meth:`~repro.core.completion.state.ObservationPlan.khatri_rao`),
-    and permutes the product once into mode-``j`` order, so an ALS sweep
-    with its gauge fix costs about ``2d`` gathers and ``d`` permutations
-    instead of ``d * (d - 1)``, with bitwise-identical design rows.
-    :meth:`evaluate` reads the same rows.  A fit at another rank or on
-    other factor arrays needs a new context.
+    :meth:`refresh` of the modes written.  :meth:`evaluate` reads the
+    same rows.
+
+    Mode ``j``'s design rows are the product of the other modes' rows,
+    left to right in increasing mode (the order of
+    :meth:`~repro.core.completion.state.ObservationPlan.khatri_rao`).
+    The context keeps a running prefix ``rows[0] * ... * rows[p-1]``:
+    the update of mode ``j`` first extends it to ``p = j`` from the
+    current rows, then multiplies only ``rows[j+1:]`` onto it, and
+    permutes the product once into mode-``j`` order.  A sweep in
+    increasing mode thus extends the prefix by one mode per update
+    instead of recomputing ``d - 2`` products.  A :meth:`refresh` of any
+    mode the prefix covers empties it (so does a request for a shorter
+    prefix), and the next update rebuilds it from the current rows.  The
+    products are the same multiplications in the same order as a fresh
+    gather, so design rows are bitwise identical to one.
+
+    Each mode's normal equations run on a
+    :class:`~repro.core.completion.als._ModeWorkspace` built at the
+    mode's first update, whose buffers live as long as the context.  A
+    fit at another rank or on other factor arrays needs a new context.
     """
 
     def __init__(self, plan, values):
@@ -100,31 +113,69 @@ class _ALSRowCache(_FitContext):
         self._cols = [np.ascontiguousarray(plan.indices[:, k])
                       for k in range(plan.d)]
         self.rows = None
+        self._workspaces = [None] * plan.d
+        self._covered = 0  # leading modes in the running prefix
 
     def refresh(self, factors, modes=None) -> None:
         if self.rows is None:
             shape = (self.plan.nnz, factors[0].shape[1])
             self.rows = [np.empty(shape) for _ in factors]
             self._product = np.empty(shape)
-            self._sorted = np.empty(shape)
+            self._prefix = np.empty(shape)
             modes = None
         for k in range(len(factors)) if modes is None else modes:
-            np.take(factors[k], self._cols[k], axis=0, out=self.rows[k])
+            factors[k].take(self._cols[k], axis=0, out=self.rows[k])
+            if k < self._covered:
+                self._covered = 0
 
     def _rows_of(self, factors) -> list:
         if self.rows is None:
             self.refresh(factors)
         return self.rows
 
+    def workspace(self, j: int):
+        """Mode ``j``'s normal-equation workspace (built on first use)."""
+        ws = self._workspaces[j]
+        if ws is None:
+            from repro.core.completion.als import _ModeWorkspace
+
+            ws = _ModeWorkspace(
+                self.plan.mode(j), self.t_sorted[j], self.rows[0].shape[1]
+            )
+            self._workspaces[j] = ws
+        return ws
+
+    def _prefix_rows(self, j: int):
+        """``rows[0] * ... * rows[j-1]``, or ``None`` for ``j == 0``."""
+        rows = self.rows
+        if self._covered > j:
+            self._covered = 0
+        for k in range(max(self._covered, 1), j):
+            if k == 1:
+                np.multiply(rows[0], rows[1], out=self._prefix)
+            else:
+                self._prefix *= rows[k]
+        self._covered = j
+        if j < 2:
+            return rows[0] if j else None
+        return self._prefix
+
     def design_rows(self, factors, j: int) -> np.ndarray:
-        """Khatri-Rao design rows of mode ``j`` in mode-``j`` sorted order."""
-        others = [r for k, r in enumerate(self._rows_of(factors)) if k != j]
-        K = others[0]
-        if len(others) > 1:
-            K = np.multiply(others[0], others[1], out=self._product)
-            for r in others[2:]:
+        """Khatri-Rao design rows of mode ``j`` in mode-``j`` sorted order.
+
+        Written into (and returned as) the mode workspace's ``K``.
+        """
+        rows = self._rows_of(factors)
+        K = self._prefix_rows(j)
+        rest = rows[j + 1:]
+        if K is None:
+            K, rest = rest[0], rest[1:]
+        if rest:
+            K = np.multiply(K, rest[0], out=self._product)
+            for r in rest[1:]:
                 K *= r
-        return np.take(K, self.plan.mode(j).order, axis=0, out=self._sorted)
+        ws = self.workspace(j)
+        return K.take(self.plan.mode(j).order, axis=0, out=ws.K)
 
     def evaluate(self, factors) -> np.ndarray:
         rows = self._rows_of(factors)
@@ -358,12 +409,8 @@ class NumpyBatchedBackend(KernelBackend):
         return _ALSRowCache(self._plan_for(shape, indices, plan), values)
 
     def als_update(self, ctx, factors, j, lam, scale_rows):
-        from repro.core.completion.als import _solve_rows_batched
-
-        _solve_rows_batched(
-            ctx.plan.mode(j), ctx.design_rows(factors, j), ctx.t_sorted[j],
-            lam, factors[j], scale_rows,
-        )
+        ctx.design_rows(factors, j)
+        ctx.workspace(j).solve(lam, scale_rows, factors[j])
         ctx.refresh(factors, (j,))
 
     def prepare_amn(self, shape, indices, logt, plan=None):

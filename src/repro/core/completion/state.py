@@ -245,14 +245,6 @@ class ModePlan:
         per (slot, trailing shape); distinct ``slot`` names yield distinct
         buffers for callers that need two padded arrays alive at once.
         """
-        if self._pad_source is None:
-            # Padded slot -> sorted observation it holds; padding slots
-            # point one past the end, at the source row kept zero.
-            nnz = len(self.seg)
-            self._pad_source = np.full(self.n_obs * self.max_count, nnz)
-            self._pad_source[self.seg * self.max_count + self.offsets] = (
-                np.arange(nnz)
-            )
         key = (slot,) + arr.shape[1:]
         bufs = self._pad_buffers.get(key)
         if bufs is None:
@@ -263,9 +255,24 @@ class ModePlan:
             self._pad_buffers[key] = bufs
         src, buf = bufs
         src[:-1] = arr
-        np.take(src, self._pad_source, axis=0,
+        np.take(src, self.pad_slots(), axis=0,
                 out=buf.reshape((-1,) + arr.shape[1:]))
         return buf
+
+    def pad_slots(self) -> np.ndarray:
+        """Padded slot -> sorted observation it holds, ``(n_obs * max_count,)``.
+
+        Padding slots hold ``nnz``, one past the last observation: a
+        source array with a trailing zero row pads with zeros under one
+        ``take``.  Built on first use, then cached.
+        """
+        if self._pad_source is None:
+            nnz = len(self.seg)
+            self._pad_source = np.full(self.n_obs * self.max_count, nnz)
+            self._pad_source[self.seg * self.max_count + self.offsets] = (
+                np.arange(nnz)
+            )
+        return self._pad_source
 
     def gram(self, K: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Stacked per-row normal matrices ``G[i] = K_i^T diag(w_i) K_i``.

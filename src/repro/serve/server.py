@@ -102,15 +102,23 @@ def _jsonable_predictions(y: np.ndarray) -> list:
 
 
 class _Pending:
-    """One submitted batch waiting for its slice of a flushed result."""
+    """One submitted batch waiting for its slice of a flushed result.
 
-    __slots__ = ("x", "event", "result", "error")
+    ``queued_after`` is the number of the last flush started when the
+    item was queued, ``flush`` the number of the flush that took it
+    (``None`` while it waits in the queue); see
+    :meth:`MicroBatcher._replace_wedged_worker`.
+    """
+
+    __slots__ = ("x", "event", "result", "error", "queued_after", "flush")
 
     def __init__(self, x):
         self.x = x
         self.event = threading.Event()
         self.result = None
         self.error = None
+        self.queued_after = 0
+        self.flush = None
 
 
 class MicroBatcher:
@@ -153,11 +161,13 @@ class MicroBatcher:
         # item can ever land behind the shutdown sentinel (which would
         # leave its submitter blocked forever).
         self._submit_lock = threading.Lock()
-        # Flush-worker supervision: ``_flush_started`` is the wall mark
-        # of the in-progress flush (None between flushes); ``_gen``
-        # identifies the *current* worker thread, so an abandoned,
-        # still-wedged predecessor can tell it has been replaced.
-        self._flush_started: float | None = None
+        # Flush-worker supervision: flushes are numbered from 1 as they
+        # start; ``_flushing`` is the number of the current worker's
+        # in-progress flush (None between flushes); ``_gen`` identifies
+        # the *current* worker thread, so an abandoned, still-wedged
+        # predecessor can tell it has been replaced.
+        self._flushes_started = 0
+        self._flushing: int | None = None
         self._gen = 0
         self._replacements = 0
         self._worker = threading.Thread(
@@ -179,12 +189,13 @@ class MicroBatcher:
             if self.max_pending is not None and self._pending >= self.max_pending:
                 raise Overloaded("overloaded")
             self._pending += 1
+            item.queued_after = self._flushes_started
             self._queue.put(item)
         if not item.event.wait(self.timeout_s):
             # Abandon the item (a late flush setting its event is
             # harmless — nobody is reading it) and check whether the
             # flush worker itself is the thing that is stuck.
-            self._replace_wedged_worker()
+            self._replace_wedged_worker(item)
             raise PredictTimeout(
                 f"predict timed out after {self.timeout_s:.3f}s"
             )
@@ -192,28 +203,36 @@ class MicroBatcher:
             raise item.error
         return item.result
 
-    def _replace_wedged_worker(self) -> None:
+    def _replace_wedged_worker(self, item: _Pending) -> None:
         """Spawn a fresh flush worker when the current one is stuck.
 
-        Called from a timed-out submitter.  Evidence of a wedge: a flush
-        has been in progress the whole time we waited (``_flush_started``
-        at least ``timeout_s`` old).  The stuck thread cannot be killed
-        (Python offers no such thing), so it is *abandoned*: a
-        generation bump tells it to exit as soon as its flush_fn ever
-        returns, and a replacement takes over the queue immediately —
-        one slow model costs its own requests a 504, not the server its
-        flush pipeline.  Replacing a merely-slow (not wedged) worker is
-        possible under racing timeouts and harmless: both drain the same
+        Called from the submitter of ``item`` when it timed out.  The
+        worker is stuck when the flush still in progress is the one that
+        took ``item`` (it outlived the item's timeout) or one that was
+        already running when ``item`` was queued (it ran for the whole
+        wait).  A flush started later that did not take ``item`` shows
+        the worker making progress (``item`` was queued behind it), so
+        nothing is replaced.  The flush's age cannot decide this: the
+        flush that takes an item starts after the item was queued, so
+        when it wedges it is younger than the timeout as the submitter
+        gives up.  The stuck thread cannot be killed (Python offers no
+        such thing), so it is *abandoned*: a generation bump tells it to
+        exit as soon as its flush_fn ever returns, and a replacement
+        takes over the queue immediately — one slow model costs its own
+        requests a 504, not the server its flush pipeline.  Replacing a
+        merely-slow (not wedged) worker is harmless: both drain the same
         queue, each item is flushed by exactly one of them.
         """
         with self._submit_lock:
             if self._closed:
                 return
-            started = self._flush_started
-            if started is None or time.perf_counter() - started < self.timeout_s:
+            running = self._flushing
+            if running is None:
+                return  # no flush in progress: the worker is not stuck
+            if running != item.flush and running > item.queued_after:
                 return  # worker is making progress; we were just queued behind
             self._gen += 1
-            self._flush_started = None
+            self._flushing = None
             self._replacements += 1
             self._worker = threading.Thread(
                 target=self._run,
@@ -306,14 +325,17 @@ class MicroBatcher:
             self._drained()
             batch = self._collect(item)
             with self._submit_lock:
+                self._flushes_started += 1
+                for member in batch:
+                    member.flush = self._flushes_started
                 if gen == self._gen:
-                    self._flush_started = time.perf_counter()
+                    self._flushing = self._flushes_started
             try:
                 self._flush(batch)
             finally:
                 with self._submit_lock:
                     if gen == self._gen:
-                        self._flush_started = None
+                        self._flushing = None
                     stale = gen != self._gen
             if stale:
                 # Our wedged flush finally returned, but a replacement

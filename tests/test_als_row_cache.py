@@ -1,16 +1,19 @@
-"""Coherence of the ``numpy_batched`` ALS row cache.
+"""Coherence of the ``numpy_batched`` ALS row cache and Khatri-Rao prefix.
 
 The ``numpy_batched`` ALS fit context caches every factor's gathered rows
-for the whole fit and builds each mode's design rows from that cache.  A
-stale row (a factor written without the context being told) would still
-give a plausible fit, so this suite checks the cache directly: at every
-mode of every sweep, the design rows the backend solves with must be
-bitwise equal to a fresh ``khatri_rao_rows`` gather in mode-sorted order,
-and every objective evaluation must equal a fresh ``cp_eval``.  The paths
-covered are the ones that write factors outside ``als_update``: plain ALS
-(gauge rebalancing), warm starts with plan reuse, regularized ALS with
-graded penalties and with the nonnegative projection, and the adaptive
-loop through a grow and a prune.
+for the whole fit, keeps a running product of the leading modes' rows,
+and writes each mode's design rows into that mode's workspace, where the
+solve reads them.  A stale row or prefix (a factor written without the
+context being told) would still give a plausible fit, so this suite
+checks the cache directly: at every mode of every sweep, the design rows
+in the workspace must be bitwise equal to a fresh ``khatri_rao_rows``
+gather in mode-sorted order, and every objective evaluation must equal a
+fresh ``cp_eval``.  The paths covered are the ones that write factors
+outside ``als_update``: plain ALS (gauge rebalancing), warm starts with
+plan reuse, regularized ALS with graded penalties and with the
+nonnegative projection, the adaptive loop through a grow and a prune,
+and a projection of an earlier mode in the middle of a sweep, which must
+empty the prefix.
 """
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from repro.core.completion import (
     init_factors,
     khatri_rao_rows,
 )
-from repro.core.completion.backends import _ALSRowCache
+from repro.core.completion.backends import _ALSRowCache, get_backend
 from repro.core.completion.state import cp_eval
 
 
@@ -39,6 +42,7 @@ def checked(monkeypatch):
 
     def checked_design_rows(self, factors, j):
         K = design_rows(self, factors, j)
+        assert K is self.workspace(j).K  # what the mode's solve reads
         fresh = khatri_rao_rows(factors, self.indices, skip=j)
         np.testing.assert_array_equal(K, fresh[self.plan.mode(j).order])
         calls["design_rows"] += 1
@@ -118,3 +122,31 @@ def test_adaptive_grow_and_prune(checked):
     assert traj[1] > traj[0]  # grew
     assert traj[-1] < max(traj)  # then pruned
     assert checked["design_rows"] > 0
+
+
+def test_mid_sweep_refresh_of_covered_mode_empties_prefix(checked):
+    shape = (5, 4, 6, 3, 4, 5)
+    idx, vals = _observations(shape, 400, seed=11, center=0.0)
+    backend = get_backend("numpy_batched")
+    ctx = backend.prepare_als(shape, idx, vals)
+    factors = init_factors(shape, 3, rng=np.random.default_rng(4), noise=1.0)
+    for j in range(4):
+        backend.als_update(ctx, factors, j, 1e-4, True)
+    assert ctx._covered == 3  # prefix holds rows[0] * rows[1] * rows[2]
+    # Project an earlier mode onto the nonnegative orthant mid-sweep: its
+    # cached rows change under the prefix, which must be rebuilt.
+    assert np.any(factors[1] < 0)
+    np.maximum(factors[1], 0.0, out=factors[1])
+    ctx.refresh(factors, (1,))
+    assert ctx._covered == 0
+    # A refresh of a mode the prefix does not cover leaves it standing.
+    backend.als_update(ctx, factors, 4, 1e-4, True)
+    ctx.refresh(factors, (4,))
+    assert ctx._covered == 4
+    backend.als_update(ctx, factors, 5, 1e-4, True)
+    # A new sweep asks for a shorter prefix, which empties it as well.
+    for j in range(len(shape)):
+        backend.als_update(ctx, factors, j, 1e-4, True)
+    ctx.evaluate(factors)
+    assert checked["design_rows"] == 6 + len(shape)
+    assert checked["evaluate"] == 1

@@ -584,6 +584,41 @@ class TestPredictTimeout:
             release.set()
             mb.close()
 
+    def test_replaces_worker_wedged_on_a_flush_younger_than_the_timeout(self):
+        # The timed-out submit waits 0.1 s behind a slow flush; the flush
+        # that takes it then wedges.  When the submit gives up, that flush
+        # is only ~0.1 s old, shorter than the timeout, yet it is the one
+        # holding the item: the worker must be replaced right then, or
+        # the next submit queues behind the wedge and times out too.
+        release = threading.Event()
+        started = threading.Event()
+        calls = []
+
+        def flush(batch):
+            calls.append(len(batch))
+            if len(calls) == 1:
+                started.set()
+                time.sleep(0.1)  # slow, but returns
+            elif len(calls) == 2:
+                release.wait(5.0)  # wedges until released
+            return np.zeros(len(batch))
+
+        mb = MicroBatcher(flush, timeout_s=0.2)
+        first = threading.Thread(target=mb.submit, args=(np.zeros((1, 2)),))
+        try:
+            first.start()
+            assert started.wait(5.0)
+            with pytest.raises(PredictTimeout):
+                mb.submit(np.zeros((1, 2)))
+            assert mb._replacements == 1
+            out = mb.submit(np.zeros((3, 2)))
+            assert out.shape == (3,)
+        finally:
+            release.set()
+            first.join(timeout=5.0)
+            mb.close()
+        assert not first.is_alive()
+
     def test_server_answers_504_then_recovers(self, tmp_path, bcast_data, fitted):
         _, _, test = bcast_data
         reg = ModelRegistry(tmp_path)
