@@ -1,7 +1,7 @@
-"""Throughput benchmark: registered completion backends vs reference loops.
+"""Throughput benchmark: batched completion kernels vs reference loops.
 
-Times ALS and AMN fits for *every* backend in the kernel registry
-(``reference`` per-row loops as the baseline, and ``numpy_batched``)
+Times ALS and AMN fits for both kernel backends (``reference`` per-row
+loops as the baseline, and ``numpy_batched``)
 plus fused-blend prediction throughput at small / medium / large
 grid-rank combinations, and appends the records to
 ``results/BENCH_completion.json`` so future PRs inherit a perf
@@ -20,11 +20,7 @@ import time
 import numpy as np
 
 from repro.core import CPRModel
-from repro.core.completion import (
-    backend_names,
-    complete_als,
-    complete_amn,
-)
+from repro.core.completion import complete_als, complete_amn
 
 from _report import perf_asserts_enabled, report, report_perf, run_once
 
@@ -38,6 +34,7 @@ CONFIGS = [
 ]
 _ALS_SWEEPS = 10
 _AMN_OPTS = dict(max_sweeps=1, newton_iters=8, barrier_min=1e-2)
+BACKENDS = ("reference", "numpy_batched")
 
 
 def _problem(cells, order, rank, nnz, seed=0, positive=False):
@@ -88,7 +85,7 @@ def _fit_records():
             ("amn", (pshape, pidx, pvals)),
         ):
             fns = {}
-            for backend in backend_names():
+            for backend in BACKENDS:
                 if opt == "als":
                     fn = lambda k=backend: complete_als(
                         *args, rank=rank, max_sweeps=_ALS_SWEEPS, tol=0.0,
@@ -103,9 +100,9 @@ def _fit_records():
                 fns[backend] = fn
             times, results = _best_of_interleaved(fns)
             hist = {k: res.history[-1] for k, res in results.items()}
-            for backend in backend_names():
+            for backend in BACKENDS:
                 row[f"{opt}_{backend}_s"] = round(times[backend], 4)
-            for backend in backend_names():
+            for backend in BACKENDS:
                 if backend == "reference":
                     continue
                 # every backend optimizes the identical problem identically

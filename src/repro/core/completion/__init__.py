@@ -8,22 +8,14 @@
 * :func:`complete_amn` — alternating minimization via (Gauss-)Newton with a
   log-barrier interior-point scheme, minimizing the MLogQ2 loss under
   strictly positive factors; the paper's extrapolation model (Section 5.3).
-* :func:`complete_lm` — Levenberg-Marquardt over all factors at once, the
-  historically first completion method the paper cites (Tomasi & Bro).
 
-The ALS/AMN hot loops dispatch their per-mode solves through the
-kernel-backend registry (:mod:`repro.core.completion.backends`):
-``reference`` (per-row loops), ``numpy_batched`` (vectorized plan-sharing
-path, alias ``"batched"``, the default).
+The ALS/AMN hot loops dispatch their per-mode solves to one of two
+kernel backends (:mod:`repro.core.completion.backends`), chosen by
+``kernel=``: ``reference`` (per-row loops, the equivalence oracle) or
+``numpy_batched`` (vectorized plan-sharing path, also ``"batched"``, the
+default).
 """
-from repro.core.completion.backends import (
-    KernelBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    select_best,
-)
+from repro.core.completion.backends import resolve_backend, select_best
 from repro.core.completion.state import (
     CompletionResult,
     ModePlan,
@@ -46,7 +38,6 @@ from repro.core.completion.adaptive import (
 from repro.core.completion.als import complete_als
 from repro.core.completion.amn import complete_amn
 from repro.core.completion.ccd import complete_ccd
-from repro.core.completion.lm import complete_lm
 from repro.core.completion.sgd import complete_sgd
 
 OPTIMIZERS = {
@@ -56,7 +47,6 @@ OPTIMIZERS = {
     "ccd": complete_ccd,
     "sgd": complete_sgd,
     "amn": complete_amn,
-    "lm": complete_lm,
 }
 
 __all__ = [
@@ -80,10 +70,6 @@ __all__ = [
     "complete_sgd",
     "complete_amn",
     "OPTIMIZERS",
-    "KernelBackend",
-    "register_backend",
-    "get_backend",
     "resolve_backend",
     "select_best",
-    "backend_names",
 ]

@@ -5,7 +5,7 @@ hardest regimes (figure5/figure6 low observation density, figure7
 model-size tradeoffs) are exactly where that is wasteful — the right rank
 depends on how much of the tensor was observed.  Two directions from
 PAPERS.md are implemented here as first-class completion optimizers that
-dispatch through the kernel-backend registry like ``complete_als`` does:
+dispatch to the kernel backends like ``complete_als`` does:
 
 :func:`complete_als_regularized`
     ALS with *column-wise* L2 penalties threaded through the per-mode
@@ -33,7 +33,7 @@ dispatch through the kernel-backend registry like ``complete_als`` does:
     bit-identical, adaptivity is strictly opt-in.
 
 Both optimizers accept ``kernel=``/``plan=`` (``accepts_kernel`` is set),
-so the model layer's capability gating, plan caching, and backend
+so the model layer's backend resolution, plan caching, and backend
 attribution apply unchanged.
 """
 from __future__ import annotations

@@ -12,7 +12,7 @@ element-wise product of the other factors' rows).  Each row solve is an
 
 Implementation notes (hot path, vectorized per the hpc-parallel guides):
 
-* Mode updates are dispatched through the kernel-backend registry
+* Mode updates are dispatched to a kernel backend
   (:mod:`repro.core.completion.backends`).  The default backend,
   ``numpy_batched``, assembles *all* of a mode's regularized normal
   systems at once (observations grouped per
@@ -228,11 +228,10 @@ def als_update_mode(
 ) -> None:
     """One ALS mode update (in place): re-solve every row of ``U_j``.
 
-    ``kernel`` is a backend name or :class:`KernelBackend` resolved
-    through :func:`repro.core.completion.backends.resolve_backend`
-    (``None`` picks the default).  ``plan`` lets plan-reuse backends
-    share a fit-wide :class:`ObservationPlan` (built on the fly when
-    omitted).
+    ``kernel`` is a backend name or object resolved through
+    :func:`repro.core.completion.backends.resolve_backend` (``None``
+    picks the default).  ``plan`` lets ``numpy_batched`` share a
+    fit-wide :class:`ObservationPlan` (built on the fly when omitted).
     """
     backend = resolve_backend(kernel)
     shape = [U.shape[0] for U in factors]
@@ -276,13 +275,12 @@ def complete_als(
         ``False``: plain block coordinate descent on Eq. 3, whose
         ``history`` is then monotonically non-increasing.
     kernel
-        Backend name or :class:`KernelBackend` instance; ``None``
-        resolves through the registry policy (``REPRO_KERNEL_BACKEND``
-        env, else ``numpy_batched`` — see
+        Backend name (``"reference"``, ``"numpy_batched"``) or backend
+        object; ``None`` picks ``numpy_batched`` (see
         :mod:`repro.core.completion.backends`).
     plan
         Optional pre-built :class:`ObservationPlan` for ``(shape,
-        indices)``; honoured by backends with ``supports_plan_reuse``.
+        indices)``; used by ``numpy_batched``, ignored by ``reference``.
         Streaming callers whose new observations landed in
         already-observed cells pass the previous fit's plan so the
         warm-start sweep reuses its argsorts and buffers; a plan for a

@@ -27,7 +27,7 @@ interior-point practice (Nocedal & Wright).
 
 Implementation notes (hot path):
 
-* Mode updates are dispatched through the kernel-backend registry
+* Mode updates are dispatched to a kernel backend
   (:mod:`repro.core.completion.backends`).  The ``numpy_batched``
   backend runs the damped Gauss-Newton iterations for *all* rows of a
   mode simultaneously: residuals, gradients and the stacked Gauss-Newton
@@ -247,13 +247,12 @@ def complete_amn(
     newton_iters
         Newton iteration cap per row subproblem (paper: 40).
     kernel
-        Backend name or :class:`KernelBackend` instance; ``None``
-        resolves through the registry policy (``REPRO_KERNEL_BACKEND``
-        env, else ``numpy_batched`` — see
+        Backend name (``"reference"``, ``"numpy_batched"``) or backend
+        object; ``None`` picks ``numpy_batched`` (see
         :mod:`repro.core.completion.backends`).
     plan
-        Optional pre-built :class:`ObservationPlan` (honoured by
-        plan-reuse backends) for streaming warm starts over an unchanged
+        Optional pre-built :class:`ObservationPlan` (used by
+        ``numpy_batched``) for streaming warm starts over an unchanged
         observation set; a plan for different observations raises.
 
     Returns

@@ -1,55 +1,30 @@
-"""Pluggable completion-kernel backends behind a strategy registry.
+"""The two completion-kernel backends ALS and AMN dispatch their mode updates to.
 
 The ALS and AMN optimizers are the hot path of every subsystem (runtime
-sweeps, serve republish, stream refits).  Historically the kernel choice
-was a hard-coded ``kernel="batched"|"reference"`` string compared in
-``als.py``, ``amn.py`` and ``model.py``; this module replaces those
-literals with *registered strategy objects* (the pattern of the batpred
-optimizer-strategy table in SNIPPETS.md):
-
-* :class:`KernelBackend` — the protocol: per-fit ``prepare_als`` /
-  ``prepare_amn`` setup hooks, per-mode ``als_update`` / ``amn_update``
-  solves, and the ``supports_plan_reuse`` capability flag.
-* :func:`register_backend` — class decorator adding an implementation to
-  the registry; new completion algorithms become one more entry instead
-  of another fork of the dispatch code.
-* :func:`get_backend` — direct lookup by name or alias; unknown names
-  raise listing every registered backend.
-* :func:`resolve_backend` — the selection *policy*:
-  ``REPRO_KERNEL_BACKEND`` env override > explicit argument >
-  :func:`select_best` (``numpy_batched``).  Already-resolved
-  :class:`KernelBackend` objects pass through untouched, so a fit
-  resolves the policy exactly once.
-
-Registered backends:
+sweeps, serve republish, stream refits).  Their loops own everything
+algorithmic (sweep order, gauge rebalancing, objective history, the
+barrier schedule); a backend supplies only the per-fit ``prepare_als`` /
+``prepare_amn`` setup and the per-mode ``als_update`` / ``amn_update``
+solves.  There are two:
 
 ``reference``
     The seed's per-row loops — the ground truth the equivalence tests
     compare against.  Never the default.
-``numpy_batched`` (alias ``"batched"``)
+``numpy_batched`` (also ``"batched"``, the name persisted model configs
+carry)
     The vectorized plan-sharing path: one fit-wide
     :class:`~repro.core.completion.state.ObservationPlan`, zero-padded
     batched GEMM Grams, one batched LAPACK solve per mode.  The default.
+
+:func:`resolve_backend` maps ``kernel=`` to a backend object: ``None``
+gives :func:`select_best`, a name is looked up, and a backend object
+passes through unchanged, so a fit resolves exactly once.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "ENV_VAR",
-    "KernelBackend",
-    "register_backend",
-    "get_backend",
-    "resolve_backend",
-    "select_best",
-    "backend_names",
-]
-
-#: Environment variable forcing one backend through every subsystem
-#: (fit, serve republish, stream refits, forked fleet workers).
-ENV_VAR = "REPRO_KERNEL_BACKEND"
+__all__ = ["resolve_backend", "select_best"]
 
 
 class _FitContext:
@@ -185,149 +160,13 @@ class _ALSRowCache(_FitContext):
         return prod.sum(axis=1)
 
 
-class KernelBackend:
-    """One completion-kernel strategy (ALS mode solve + AMN mode Newton).
-
-    Subclasses plug in at the per-mode update level; the optimizer loops
-    in :mod:`~repro.core.completion.als` / ``amn`` keep ownership of
-    everything algorithmic that is backend-independent (sweep order,
-    gauge rebalancing, objective history, the barrier schedule), which is
-    what makes the 1e-8 equivalence contract between backends testable.
-
-    Class attributes
-    ----------------
-    name
-        Registry key (also what manifests/stats record).
-    aliases
-        Extra lookup names (``numpy_batched`` keeps the historical
-        ``"batched"`` spelling working for callers and old pickles).
-    supports_plan_reuse
-        Whether the backend consumes a fit-wide
-        :class:`~repro.core.completion.state.ObservationPlan` — the
-        capability :meth:`repro.core.model.CPRModel._run_completion`
-        gates plan caching on (previously a ``== "batched"`` literal).
-    """
-
-    name: str = ""
-    aliases: tuple = ()
-    supports_plan_reuse: bool = False
-
-    # -- ALS -------------------------------------------------------------------
-
-    def prepare_als(self, shape, indices, values, plan=None):
-        """Per-fit setup; returns the context ``als_update`` consumes.
-
-        The returned context is a ``_FitContext``: it exposes
-        ``.indices`` (the index array the caller should evaluate
-        objectives against) so plan-canonical and as-given layouts stay
-        interchangeable, and the ``refresh``/``evaluate`` hooks the ALS
-        loops call.  ``plan`` is honoured only by plan-reuse backends;
-        others ignore it.
-        """
-        raise NotImplementedError
-
-    def als_update(self, ctx, factors, j, lam, scale_rows) -> None:
-        """One ALS mode update: re-solve every observed row of ``U_j``."""
-        raise NotImplementedError
-
-    # -- AMN -------------------------------------------------------------------
-
-    def prepare_amn(self, shape, indices, logt, plan=None):
-        """Per-fit setup for the interior-point solver (cf. ``prepare_als``)."""
-        raise NotImplementedError
-
-    def amn_update(self, ctx, factors, j, lam, eta, max_iter, tol) -> None:
-        """Damped Gauss-Newton on every observed row of mode ``j``."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name!r})"
-
-
-# -- registry ------------------------------------------------------------------
-
-_REGISTRY: dict[str, KernelBackend] = {}
-_ALIASES: dict[str, str] = {}
-
-
-def register_backend(cls):
-    """Class decorator: instantiate ``cls`` and add it to the registry."""
-    backend = cls()
-    if not backend.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty name")
-    if backend.name in _REGISTRY or backend.name in _ALIASES:
-        raise ValueError(f"kernel backend {backend.name!r} already registered")
-    for alias in backend.aliases:
-        if alias in _REGISTRY or alias in _ALIASES:
-            raise ValueError(f"kernel backend alias {alias!r} already taken")
-    _REGISTRY[backend.name] = backend
-    for alias in backend.aliases:
-        _ALIASES[alias] = backend.name
-    return cls
-
-
-def backend_names() -> tuple:
-    """Registered backend names (the single source of kernel truth)."""
-    return tuple(_REGISTRY)
-
-
-def get_backend(spec) -> KernelBackend:
-    """Direct lookup by name/alias (no selection policy).
-
-    Accepts an already-resolved :class:`KernelBackend` and returns it
-    unchanged.  Unknown names raise a ``ValueError`` listing every
-    registered backend.
-    """
-    if isinstance(spec, KernelBackend):
-        return spec
-    name = _ALIASES.get(spec, spec)
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown kernel backend {spec!r}; registered backends: "
-            f"{', '.join(backend_names())}"
-        )
-    return backend
-
-
-def resolve_backend(preferred=None) -> KernelBackend:
-    """Apply the selection policy: env > explicit > :func:`select_best`.
-
-    ``REPRO_KERNEL_BACKEND`` outranks the explicit argument by design:
-    it is the single operator knob that forces one backend through every
-    layer (CLI entry points, stream refits, forked fleet workers) in one
-    place.  Callers holding an already-resolved :class:`KernelBackend`
-    object (the model resolves once per fit; tests pin backends under
-    comparison) bypass the policy entirely.
-    """
-    if isinstance(preferred, KernelBackend):
-        return preferred
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return get_backend(env)
-    if preferred is not None:
-        return get_backend(preferred)
-    return select_best()
-
-
-def select_best() -> KernelBackend:
-    """The default backend: ``numpy_batched``.
-
-    ``reference`` is correct but deliberately slow, so it is never the
-    default; the ``REPRO_KERNEL_BACKEND`` env override and an explicit
-    ``kernel=`` bypass this entirely (see :func:`resolve_backend`).
-    """
-    return _REGISTRY["numpy_batched"]
-
-
 # -- the reference backend (the seed's per-row loops) --------------------------
 
 
-@register_backend
-class ReferenceBackend(KernelBackend):
+class ReferenceBackend:
     """Per-row loops: one argsort and one small solve per row per sweep.
 
-    The ground truth the equivalence suite compares every other backend
+    The ground truth the equivalence suite compares ``numpy_batched``
     against, and the slow baseline the throughput benchmark measures
     speedups over.  Never the default.
     """
@@ -335,8 +174,7 @@ class ReferenceBackend(KernelBackend):
     name = "reference"
 
     def prepare_als(self, shape, indices, values, plan=None):
-        # ``plan`` is a plan-reuse capability; the per-row loop has no
-        # use for it and ignores it (the model never passes one here).
+        # The per-row loop has no use for the fit-wide plan.
         return _FitContext(shape=shape, indices=indices, values=values)
 
     def als_update(self, ctx, factors, j, lam, scale_rows):
@@ -378,20 +216,15 @@ class ReferenceBackend(KernelBackend):
 # -- the vectorized numpy backend ----------------------------------------------
 
 
-@register_backend
-class NumpyBatchedBackend(KernelBackend):
+class NumpyBatchedBackend:
     """Plan-sharing vectorized path (the previous ``kernel="batched"``).
 
     One fit-wide :class:`~repro.core.completion.state.ObservationPlan`
     supplies per-mode sorted layouts; mode updates are segment
-    reductions plus one batched LAPACK solve.  Keeps the historical
-    ``"batched"`` name as an alias so existing call sites and persisted
-    model configs resolve here.
+    reductions plus one batched LAPACK solve.
     """
 
     name = "numpy_batched"
-    aliases = ("batched",)
-    supports_plan_reuse = True
 
     def _plan_for(self, shape, indices, plan):
         from repro.core.completion.state import ObservationPlan
@@ -428,3 +261,40 @@ class NumpyBatchedBackend(KernelBackend):
         _newton_rows_batched(
             ctx.plan, j, factors, ctx.logt_sorted[j], lam, eta, max_iter, tol
         )
+
+
+_BACKENDS = {
+    "reference": ReferenceBackend(),
+    "numpy_batched": NumpyBatchedBackend(),
+}
+# Model configs persisted before the rename carry ``kernel="batched"``.
+_BACKENDS["batched"] = _BACKENDS["numpy_batched"]
+
+
+def select_best():
+    """The default backend: ``numpy_batched``.
+
+    ``reference`` is correct but deliberately slow, so it is never the
+    default.
+    """
+    return _BACKENDS["numpy_batched"]
+
+
+def resolve_backend(kernel=None):
+    """The backend for ``kernel=``: a name, a backend object, or ``None``.
+
+    ``None`` gives :func:`select_best`; a backend object is returned
+    unchanged (tests pin subclasses); an unknown name raises a
+    ``ValueError`` listing the valid ones.
+    """
+    if kernel is None:
+        return select_best()
+    if not isinstance(kernel, str):
+        return kernel
+    try:
+        return _BACKENDS[kernel]
+    except KeyError:
+        raise ValueError(
+            f"unknown kernel backend {kernel!r}; valid names: "
+            f"{', '.join(_BACKENDS)}"
+        ) from None

@@ -53,6 +53,19 @@ _LOSSES = ("log_mse", "mlogq2")
 _AUTO_RANK_OPTIMIZERS = ("als_adaptive",)
 
 
+def _reject_kernel(optimizer: str, opt_params: dict) -> None:
+    """Refuse ``kernel=`` for an optimizer that has no kernel backends."""
+    if "kernel" in opt_params:
+        kernel_optimizers = ", ".join(
+            name for name, fn in OPTIMIZERS.items()
+            if getattr(fn, "accepts_kernel", False)
+        )
+        raise ValueError(
+            f"optimizer {optimizer!r} has no kernel backends; the kernel "
+            f"option applies to {kernel_optimizers} only"
+        )
+
+
 def rank_attribution(model) -> dict:
     """Requested vs served rank of a fitted model, for manifests/stats.
 
@@ -269,23 +282,16 @@ class CPRModel:
         if warm_start:
             kwargs["factors"] = self.factors_
         if getattr(fn, "accepts_kernel", False):
-            # Resolve the kernel backend once per fit (env override >
-            # explicit config > select_best) and hand the optimizer
-            # the resolved object, so selection policy and manifest
-            # attribution cannot disagree.  Plan caching/reuse is gated
-            # on the backend's capability, not a name comparison: any
-            # plan-reuse backend gets the fit-wide ObservationPlan.
+            # Resolve the kernel backend once per fit and hand the
+            # optimizer the resolved object, so the backend that ran and
+            # the one attributed cannot disagree.  ``reference`` ignores
+            # the fit-wide plan; ``numpy_batched`` reuses it.
             backend = resolve_backend(kwargs.pop("kernel", None))
             kwargs["kernel"] = backend
-            if backend.supports_plan_reuse:
-                kwargs["plan"] = self._completion_plan(tensor)
+            kwargs["plan"] = self._completion_plan(tensor)
             self.fit_backend_ = backend.name
         else:
-            if "kernel" in kwargs:
-                raise ValueError(
-                    f"optimizer {self.optimizer!r} has no kernel backends; "
-                    "the kernel option applies to als/amn only"
-                )
+            _reject_kernel(self.optimizer, kwargs)
             self.fit_backend_ = None
             if getattr(fn, "accepts_plan", False):
                 # No backend, but the optimizer still reuses the
@@ -824,8 +830,9 @@ class TuckerModel(CPRModel):
     def _run_completion(self, tensor, targets, warm_start: bool) -> None:
         from repro.core.completion.tucker import complete_tucker
 
-        # The Tucker solver has no registered kernel backends (yet); its
-        # fits carry no backend attribution.
+        # The Tucker solver has no kernel backends; its fits carry no
+        # backend attribution.
+        _reject_kernel("tucker", self.opt_params)
         self.fit_backend_ = None
         # Warm starts re-run from the current state is not supported by the
         # Tucker solver; it refits (still cheap at these core sizes).

@@ -228,11 +228,6 @@ def _worker_main(cfg: dict, inherited: socket.socket | None) -> None:  # pragma:
     # covers chaos runs driving a fleet they didn't fork (CLI --workers).
     faults.install_from_env()
     faults.fault_point("fleet.worker.boot")
-    if cfg.get("kernel_backend"):
-        # The env override is the one knob the completion registry reads
-        # everywhere, so any (re)fit this worker ever runs uses the
-        # fleet-selected backend.
-        os.environ["REPRO_KERNEL_BACKEND"] = cfg["kernel_backend"]
     server = make_worker_server(cfg)
     hb_stop = threading.Event()
     if cfg.get("hb_dir"):
@@ -289,7 +284,6 @@ class ServeFleet:
         default_model: str | None = None,
         max_batch: int = 256,
         max_inflight: int = 128,
-        kernel_backend: str | None = None,
         socket_mode: str = "auto",
         shm: bool | None = None,
         shm_max_segments: int = 8,
@@ -303,12 +297,6 @@ class ServeFleet:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if kernel_backend is not None:
-            # Fail in the parent, before any fork: an unknown/unavailable
-            # backend must not become one crash per respawned worker.
-            from repro.core.completion.backends import get_backend
-
-            kernel_backend = get_backend(kernel_backend).name
         if socket_mode not in ("auto", "reuseport", "inherit"):
             raise ValueError(f"unknown socket_mode {socket_mode!r}")
         if socket_mode == "auto":
@@ -335,10 +323,6 @@ class ServeFleet:
             "max_batch": int(max_batch),
             "max_inflight": int(max_inflight),
             "request_timeout_ms": request_timeout_ms,
-            # Round-trips the --kernel-backend CLI flag into every forked
-            # (and respawned) worker via the env override the completion
-            # registry honours.
-            "kernel_backend": kernel_backend,
             "shm": self.shm,
             # Workers briefly wait out the packer before a disk fallback.
             "attach_wait_s": 2.0 * float(poll_interval_s),

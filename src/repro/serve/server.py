@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import queue
 import sys
 import threading
@@ -747,11 +746,6 @@ def main(argv=None) -> int:
     parser.add_argument("--request-timeout-ms", type=float, default=30000.0,
                         help="per-request predict budget before a 504 "
                              "(0 disables)")
-    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
-                        help="force this completion-kernel backend (see "
-                             "repro.core.completion.backends) for any model "
-                             "fitting this process — or its fleet workers — "
-                             "performs; default: auto-select")
     parser.add_argument("--fault-plan", default=None, metavar="JSON|@FILE",
                         help="install a repro.faults FaultPlan (chaos runs): "
                              "inline JSON or @path/to/plan.json")
@@ -761,14 +755,6 @@ def main(argv=None) -> int:
         faults.install(faults.plan_from_arg(args.fault_plan))
     else:
         faults.install_from_env()
-
-    if args.kernel_backend is not None:
-        from repro.core.completion.backends import ENV_VAR, get_backend
-
-        # Validate eagerly (unknown names list the registered backends)
-        # and publish via the env override so every fit in this process
-        # — and in forked fleet workers — resolves to it.
-        os.environ[ENV_VAR] = get_backend(args.kernel_backend).name
 
     if args.workers > 1:
         if args.http is None:
@@ -790,7 +776,6 @@ def main(argv=None) -> int:
             max_batch=args.max_batch,
             max_inflight=args.max_inflight,
             request_timeout_ms=args.request_timeout_ms,
-            kernel_backend=args.kernel_backend,
         )
         fleet.start()
         print(

@@ -127,11 +127,6 @@ def main(argv=None) -> int:
                              "workers mid-stream")
     parser.add_argument("--serve-port", type=int, default=0,
                         help="fleet port with --serve-workers (0 = ephemeral)")
-    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
-                        help="force this completion-kernel backend (see "
-                             "repro.core.completion.backends) for every "
-                             "stream (re)fit and any fleet worker; "
-                             "default: auto-select")
     parser.add_argument("--fault-plan", default=None, metavar="JSON|@FILE",
                         help="install a repro.faults FaultPlan (chaos runs): "
                              "inline JSON or @path/to/plan.json")
@@ -148,16 +143,6 @@ def main(argv=None) -> int:
         faults.install(faults.plan_from_arg(args.fault_plan))
     else:
         faults.install_from_env()
-
-    if args.kernel_backend is not None:
-        import os
-
-        from repro.core.completion.backends import ENV_VAR, get_backend
-
-        # Validate eagerly, then publish through the env override so the
-        # trainer's refits here *and* the forked fleet workers below all
-        # resolve to the same backend.
-        os.environ[ENV_VAR] = get_backend(args.kernel_backend).name
 
     app = get_application(args.app)
     name = args.name or f"{args.app}-stream"
@@ -234,8 +219,10 @@ def main(argv=None) -> int:
         # below, or the workers orphan and the shm segments leak.
         exit_on_sigterm()
         fleet = ServeFleet(
-            args.registry, workers=args.serve_workers, port=args.serve_port,
-            default_model=name, kernel_backend=args.kernel_backend,
+            args.registry,
+            workers=args.serve_workers,
+            port=args.serve_port,
+            default_model=name,
         ).start()
         # Our republishes reach the workers via the pack hook, not the
         # (slower) manifest watch: the next scored batch after a drift

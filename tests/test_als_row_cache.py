@@ -26,7 +26,7 @@ from repro.core.completion import (
     init_factors,
     khatri_rao_rows,
 )
-from repro.core.completion.backends import _ALSRowCache, get_backend
+from repro.core.completion.backends import _ALSRowCache, resolve_backend
 from repro.core.completion.state import cp_eval
 
 
@@ -127,7 +127,7 @@ def test_adaptive_grow_and_prune(checked):
 def test_mid_sweep_refresh_of_covered_mode_empties_prefix(checked):
     shape = (5, 4, 6, 3, 4, 5)
     idx, vals = _observations(shape, 400, seed=11, center=0.0)
-    backend = get_backend("numpy_batched")
+    backend = resolve_backend("numpy_batched")
     ctx = backend.prepare_als(shape, idx, vals)
     factors = init_factors(shape, 3, rng=np.random.default_rng(4), noise=1.0)
     for j in range(4):

@@ -1,30 +1,20 @@
-"""Kernel-backend registry: lookup, selection policy, capability gates.
+"""Kernel backends: lookup, default, plan handoff, attribution.
 
-Covers the strategy-registry contract of
-:mod:`repro.core.completion.backends` — name/alias lookup with helpful
-errors, the env > explicit > ``select_best`` resolution order, the
-plan-reuse capability the model layer gates on (the gate used to be a
-``kernel == "batched"`` string literal; these are its regression
-tests), and backend attribution flowing through persistence, registry
-manifests, engine stats, and the streaming trainer.
+Covers :mod:`repro.core.completion.backends` — name lookup (including
+the persisted ``"batched"`` spelling) with a helpful error, the
+``select_best`` default, backend objects passing through unchanged,
+the fit-wide plan the model layer hands every kernel optimizer, and
+backend attribution flowing through persistence, registry manifests,
+engine stats, and the streaming trainer.
 """
 import numpy as np
 import pytest
 
 from repro.core import CPRModel
-from repro.core.completion import (
-    backend_names,
-    get_backend,
-    resolve_backend,
-    select_best,
-)
-from repro.core.completion import backends as backends_mod
-from repro.core.completion.backends import (
-    ENV_VAR,
-    KernelBackend,
-    NumpyBatchedBackend,
-    register_backend,
-)
+from repro.core.completion import resolve_backend, select_best
+from repro.core.completion.backends import NumpyBatchedBackend
+
+BACKEND_NAMES = ("reference", "numpy_batched")
 
 
 def _data(seed=0, n=200):
@@ -36,90 +26,49 @@ def _data(seed=0, n=200):
     return X, y
 
 
-@pytest.fixture
-def clone_backend():
-    """A plan-reuse backend registered under a fresh (non-'batched') name.
-
-    The historical bug this guards: plan caching was gated on the literal
-    name ``"batched"``, so an equivalent backend registered under any
-    other name silently lost plan reuse.  The fixture unregisters on
-    teardown.
-    """
-
-    @register_backend
-    class CloneBackend(NumpyBatchedBackend):
-        name = "clone_test"
-        aliases = ("clone_alias",)
-
-    try:
-        yield backends_mod._REGISTRY["clone_test"]
-    finally:
-        backends_mod._REGISTRY.pop("clone_test", None)
-        backends_mod._ALIASES.pop("clone_alias", None)
-
-
 class TestRegistry:
     def test_core_backends_registered(self):
-        assert set(backend_names()) == {"reference", "numpy_batched"}
+        for name in BACKEND_NAMES:
+            assert resolve_backend(name).name == name
 
     def test_alias_resolves_to_same_object(self):
-        assert get_backend("batched") is get_backend("numpy_batched")
+        assert resolve_backend("batched") is resolve_backend("numpy_batched")
 
     def test_unknown_backend_error_lists_registered_names(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            get_backend("no_such_backend")
-        try:
-            get_backend("no_such_backend")
-        except ValueError as exc:
-            for name in backend_names():
-                assert name in str(exc)
+        with pytest.raises(ValueError, match="valid names") as exc:
+            resolve_backend("no_such_backend")
+        for name in (*BACKEND_NAMES, "batched"):
+            assert name in str(exc.value)
 
     def test_resolved_instances_pass_through(self):
-        b = get_backend("numpy_batched")
-        assert get_backend(b) is b
+        b = resolve_backend("numpy_batched")
         assert resolve_backend(b) is b
-
-    def test_duplicate_registration_rejected(self):
-        before = backend_names()
-        with pytest.raises(ValueError, match="already registered"):
-            @register_backend
-            class Duplicate(NumpyBatchedBackend):  # noqa: F811
-                name = "reference"
-                aliases = ()
-        assert backend_names() == before
-
-    def test_registering_extends_names_and_errors(self, clone_backend):
-        assert "clone_test" in backend_names()
-        assert get_backend("clone_alias") is clone_backend
-        # New registrations show up in the unknown-name error too.
-        with pytest.raises(ValueError, match="clone_test"):
-            get_backend("no_such_backend")
 
 
 class TestSelectionPolicy:
-    def test_env_override_outranks_explicit_argument(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
-        assert resolve_backend("numpy_batched").name == "reference"
-
-    def test_explicit_argument_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_explicit_argument_without_env(self):
         assert resolve_backend("batched").name == "numpy_batched"
 
-    def test_default_is_calibrated_best(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_calibrated_best(self):
         assert resolve_backend(None) is select_best()
-        assert resolve_backend(None) is get_backend("numpy_batched")
+        assert resolve_backend() is resolve_backend("numpy_batched")
 
-    def test_select_best_never_picks_reference(self, clone_backend):
-        # Registering another plan-reuse backend does not move the default.
-        assert select_best() is get_backend("numpy_batched")
-        assert select_best() is not get_backend("reference")
+    def test_select_best_never_picks_reference(self):
+        assert select_best() is resolve_backend("numpy_batched")
+        assert select_best() is not resolve_backend("reference")
 
-    def test_env_override_reaches_model_fit(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
+    # The variable once outranked ``kernel=`` and the default; it is no
+    # longer read, so a value left set in a shell changes nothing.
+    def test_env_var_does_not_outrank_explicit_argument(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_" + "BACKEND", "reference")
+        assert resolve_backend("numpy_batched").name == "numpy_batched"
+        assert resolve_backend(None) is select_best()
+
+    def test_env_var_does_not_reach_model_fit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_" + "BACKEND", "reference")
         X, y = _data()
         m = CPRModel(cells=4, rank=2, max_sweeps=4).fit(X, y)
-        assert m.fit_backend_ == "reference"
+        assert m.fit_backend_ == "numpy_batched"
 
 
 class _SpyOptimizer:
@@ -148,32 +97,32 @@ def spy_als(monkeypatch):
     return spy
 
 
-class TestCapabilityGates:
-    """The model layer must gate on capability flags, not backend names."""
+class _CloneBackend(NumpyBatchedBackend):
+    name = "clone_test"
 
-    def test_plan_reuse_follows_capability_not_name(self, spy_als,
-                                                    clone_backend):
-        # A plan-reuse backend under a non-"batched" name still gets the
-        # fit-wide plan (regression: the old gate compared the string).
+
+class TestCapabilityGates:
+    """How the model layer hands kernels, plans and warm starts over."""
+
+    def test_plan_reuse_follows_capability_not_name(self, spy_als):
+        # A backend under a name other than "batched" still gets the
+        # fit-wide plan (regression: an old gate compared the string).
         X, y = _data()
-        m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel="clone_test")
+        m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel=_CloneBackend())
         m.fit(X, y)
         assert spy_als.seen["plan"] is not None
         assert spy_als.seen["plan"] is m._plan_
         assert m.fit_backend_ == "clone_test"
 
-    def test_no_plan_without_capability(self, spy_als):
-        class NoPlanProbe(NumpyBatchedBackend):
-            name = "noplan_probe"
-            aliases = ()
-            supports_plan_reuse = False
-
+    def test_reference_gets_the_fit_plan_too(self, spy_als):
+        # Every kernel optimizer gets the plan; the reference loops
+        # ignore it, so the model needs no per-backend branch.
         X, y = _data()
-        m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel=NoPlanProbe())
+        m = CPRModel(cells=4, rank=2, max_sweeps=4, kernel="reference")
         m.fit(X, y)
-        assert spy_als.seen["plan"] is None
-        assert m._plan_ is None  # the model never built one
-        assert m.fit_backend_ == "noplan_probe"
+        assert spy_als.seen["plan"] is m._plan_
+        assert m._plan_ is not None
+        assert m.fit_backend_ == "reference"
 
     def test_plan_reused_across_partial_fit(self, spy_als):
         X, y = _data()
@@ -197,6 +146,21 @@ class TestCapabilityGates:
             CPRModel(cells=4, rank=2, optimizer="sgd", max_sweeps=4,
                      kernel="batched").fit(X, y)
 
+    def test_kernel_error_names_every_kernel_optimizer(self):
+        X, y = _data()
+        with pytest.raises(ValueError) as exc:
+            CPRModel(cells=4, rank=2, optimizer="ccd", max_sweeps=4,
+                     kernel="reference").fit(X, y)
+        assert "als, als_adaptive, als_reg, amn only" in str(exc.value)
+
+    def test_kernel_option_rejected_for_tucker(self):
+        from repro.core import TuckerModel
+
+        X, y = _data()
+        with pytest.raises(ValueError, match="'tucker' has no kernel backends"):
+            TuckerModel(cells=4, rank=2, max_sweeps=4,
+                        kernel="reference").fit(X, y)
+
     def test_ccd_reuses_plan_without_backends(self):
         X, y = _data()
         m = CPRModel(cells=4, rank=2, optimizer="ccd", max_sweeps=8).fit(X, y)
@@ -213,7 +177,7 @@ class TestAttribution:
     def test_fit_records_resolved_backend(self):
         X, y = _data()
         m = CPRModel(cells=4, rank=2, max_sweeps=4).fit(X, y)
-        assert m.fit_backend_ in backend_names()
+        assert m.fit_backend_ in BACKEND_NAMES
         assert m.describe()["fit_backend"] == m.fit_backend_
 
     def test_batched_alias_resolves_after_reload(self):
@@ -275,22 +239,6 @@ class TestAttribution:
         )
         session.observe(X, y)
         backend = session.trainer.model.fit_backend_
-        assert backend in backend_names()
+        assert backend in BACKEND_NAMES
         assert session.trainer.to_record()["kernel_backend"] == backend
         assert session.summary()["kernel_backend"] == backend
-
-    def test_fleet_config_round_trips_canonical_name(self, tmp_path):
-        from repro.serve import ServeFleet
-
-        fleet = ServeFleet(str(tmp_path), workers=1, kernel_backend="batched")
-        # Canonicalized through the registry before reaching workers.
-        assert fleet._cfg["kernel_backend"] == "numpy_batched"
-        with pytest.raises(ValueError, match="registered backends"):
-            ServeFleet(str(tmp_path), workers=1, kernel_backend="bogus")
-
-    def test_base_protocol_hooks_are_abstract(self):
-        b = KernelBackend()
-        with pytest.raises(NotImplementedError):
-            b.prepare_als((2, 2), np.zeros((1, 2), dtype=np.intp), np.ones(1))
-        with pytest.raises(NotImplementedError):
-            b.prepare_amn((2, 2), np.zeros((1, 2), dtype=np.intp), np.ones(1))

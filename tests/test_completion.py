@@ -257,7 +257,6 @@ class TestRegistry:
             "ccd",
             "sgd",
             "amn",
-            "lm",
         }
 
 
@@ -277,54 +276,3 @@ def test_property_cp_eval_linear_in_each_factor(d, rank, seed):
     c = 3.0
     factors[0] = factors[0] * c
     np.testing.assert_allclose(cp_eval(factors, idx), c * base, rtol=1e-10)
-
-
-class TestLM:
-    def test_recovers_lowrank_fully_observed(self):
-        from repro.core.completion import complete_lm
-
-        _, dense = _random_lowrank((6, 5, 4), 2, seed=21)
-        idx = _observe_all(dense.shape)
-        res = complete_lm(dense.shape, idx, dense.ravel(), rank=2,
-                          regularization=1e-10, max_sweeps=60, tol=1e-14, seed=0)
-        np.testing.assert_allclose(cp_eval(res.factors, idx), dense.ravel(),
-                                   atol=1e-4 * np.abs(dense).max())
-
-    def test_monotone_accepted_steps(self):
-        from repro.core.completion import complete_lm
-
-        _, dense = _random_lowrank((6, 6), 2, seed=22)
-        idx = _observe_all(dense.shape)
-        res = complete_lm(dense.shape, idx, dense.ravel(), rank=2,
-                          max_sweeps=20, seed=1)
-        h = np.asarray(res.history)
-        assert np.all(np.diff(h) <= 0)  # only accepted steps are recorded
-
-    def test_partially_observed_generalizes(self):
-        from repro.core.completion import complete_lm
-
-        _, dense = _random_lowrank((7, 7, 5), 2, seed=23)
-        gen = np.random.default_rng(24)
-        idx_all = _observe_all(dense.shape)
-        sel = gen.choice(len(idx_all), size=180, replace=False)
-        res = complete_lm(dense.shape, idx_all[sel], dense.ravel()[sel],
-                          rank=2, regularization=1e-9, max_sweeps=80,
-                          tol=1e-14, seed=2)
-        pred = cp_eval(res.factors, idx_all)
-        rel = np.abs(pred - dense.ravel()) / (np.abs(dense.ravel()) + 1e-9)
-        assert np.median(rel) < 0.1
-
-    def test_param_guard(self):
-        from repro.core.completion import complete_lm
-
-        with pytest.raises(MemoryError):
-            complete_lm((512, 512), np.zeros((1, 2), dtype=np.intp),
-                        np.ones(1), rank=8, max_params=1000)
-
-    def test_via_cpr_model(self, smooth_2d):
-        from repro.core import CPRModel
-
-        X, y = smooth_2d
-        m = CPRModel(cells=8, rank=2, optimizer="lm", seed=0,
-                     max_sweeps=40).fit(X, y)
-        assert m.score(X, y) < 0.15

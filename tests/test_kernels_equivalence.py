@@ -1,24 +1,21 @@
-"""Registered kernel backends vs reference: exact-equivalence tests.
+"""The ``numpy_batched`` kernel backend vs reference: exact-equivalence tests.
 
-Every backend in the :mod:`repro.core.completion.backends` registry must
-reproduce the retained per-row ``reference`` backend to tight tolerance —
-same sweeps, same histories, same factors — across tensor orders, ragged
+``numpy_batched`` (:mod:`repro.core.completion.backends`) must reproduce
+the retained per-row ``reference`` backend to tight tolerance — same
+sweeps, same histories, same factors — across tensor orders, ragged
 observation multiplicities (including rows with *no* observations), warm
-starts, and the streaming ``partial_fit`` path.  The parametrization is
-registry-derived: registering a new backend automatically subjects it to
-this suite.  See DESIGN.md, "Kernel backends".
+starts, and the streaming ``partial_fit`` path.  See DESIGN.md, "Kernel
+backends".
 """
 import numpy as np
 import pytest
 
 from repro.core.completion import (
     ObservationPlan,
-    backend_names,
     complete_als,
     complete_als_adaptive,
     complete_als_regularized,
     complete_amn,
-    get_backend,
     init_factors,
     init_positive_factors,
 )
@@ -35,8 +32,8 @@ ORDERS = {
 }
 
 
-# Backends compared against the per-row reference (i.e. everything else).
-BACKENDS = [name for name in backend_names() if name != "reference"]
+# The backend compared against the per-row reference.
+BACKENDS = ["numpy_batched"]
 
 
 def _ragged_observations(shape, seed, positive=False):
@@ -252,9 +249,8 @@ class TestPartialFitEquivalence:
         Xn, yn = X[:80], y[:80] * np.exp(gen.normal(0, 0.02, 80))
         ref.partial_fit(Xn, yn, max_sweeps=3)
         bat.partial_fit(Xn, yn, max_sweeps=3)
-        if get_backend(backend).supports_plan_reuse:
-            # Unchanged cells: the fit-wide plan's buffers are reused.
-            assert bat._plan_ is plan_before
+        # Unchanged cells: the fit-wide plan's buffers are reused.
+        assert bat._plan_ is plan_before
         _assert_factors_close(ref._factor_list(), bat._factor_list())
         q = self._data(seed=9, n=64)[0]
         np.testing.assert_allclose(bat.predict(q), ref.predict(q), rtol=1e-8)
@@ -278,8 +274,7 @@ class TestPartialFitEquivalence:
         plan_before = bat._plan_
         ref.partial_fit(Xn, yn, max_sweeps=3)
         bat.partial_fit(Xn, yn, max_sweeps=3)
-        if get_backend(backend).supports_plan_reuse:
-            assert bat._plan_ is not plan_before  # new cells: invalidated
+        assert bat._plan_ is not plan_before  # new cells: invalidated
         _assert_factors_close(ref._factor_list(), bat._factor_list())
 
     @pytest.mark.parametrize("loss", ["log_mse", "mlogq2"])
@@ -307,8 +302,8 @@ class TestRegularizedEquivalence:
     """Column-penalty / nonnegative ALS must agree across backends.
 
     The vector-``lam`` diagonal and the projection step are threaded
-    through ``als_update`` exactly like the scalar path, so every
-    registered backend owes the same 1e-8 contract the plain ALS suite
+    through ``als_update`` exactly like the scalar path, so
+    ``numpy_batched`` owes the same 1e-8 contract the plain ALS suite
     enforces.
     """
 
