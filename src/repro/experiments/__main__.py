@@ -21,7 +21,10 @@ Runtime flags (see :mod:`repro.runtime` and DESIGN.md "Runtime & caching"):
     finished jobs from the cache (an interrupted sweep resumes where it
     stopped), and editing a grid/seed/scale invalidates exactly the jobs
     it changes.  A ``[runtime]`` line per driver reports the hit/executed
-    split.
+    split.  Without ``--cache-dir`` nothing is persisted, but the one
+    runtime shared by every driver of a call still runs each distinct
+    job spec once: ``all --scale smoke`` reports figure7's 40 jobs, all
+    of them figure6 specs, as hits.
 ``--queue DIR --queue-workers N``
     Elastic work-queue mode: specs are spooled under ``DIR`` and claimed
     by ``N`` lease-holding worker processes (heartbeats + stale-lease

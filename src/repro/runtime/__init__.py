@@ -14,7 +14,8 @@ re-fitted per figure.  This package turns that workload into declarative
     sweeps are resumable and incrementally re-runnable.
 :class:`~repro.runtime.executor.Runtime`
     Sequential or process-pool executor with deterministic per-job
-    seeding and per-worker dataset reuse (workers share the harness's
+    seeding, an in-memory memo that runs each distinct spec once per
+    runtime, and per-worker dataset reuse (workers share the harness's
     process-local dataset cache).
 :class:`~repro.runtime.queue.WorkQueue`
     Elastic work-queue executor: specs are spooled to a shared

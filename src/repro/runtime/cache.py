@@ -7,19 +7,18 @@ cache directory is self-describing.  Note: records use Python's extended
 JSON (``NaN``/``Infinity`` tokens, e.g. the Tucker refusal rows), so
 audit them with ``python -m json.tool`` rather than a strict parser.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent workers and
-interrupted runs can never leave a half-written record: a sweep killed
-mid-flight resumes by re-running only the jobs whose records are missing.
-Corrupt or unreadable records behave as misses.
+Writes are atomic (:func:`repro.utils.atomic_write`), so concurrent
+workers and interrupted runs can never leave a half-written record: a
+sweep killed mid-flight resumes by re-running only the jobs whose
+records are missing.  Corrupt or unreadable records behave as misses.
 """
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
 from repro.runtime.spec import CACHE_SCHEMA_VERSION, JobSpec, to_jsonable
+from repro.utils.files import atomic_write
 
 __all__ = ["ResultCache"]
 
@@ -51,7 +50,6 @@ class ResultCache:
     def put(self, spec: JobSpec, result, elapsed: float | None = None) -> Path:
         """Atomically persist ``result`` for ``spec``; return the record path."""
         path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         record = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": spec.key,
@@ -60,18 +58,7 @@ class ResultCache:
             "elapsed_seconds": elapsed,
             "result": to_jsonable(result),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return atomic_write(path, json.dumps(record, indent=1))
 
     def __contains__(self, spec) -> bool:
         return self.get(spec) is not None

@@ -12,7 +12,7 @@ Determinism contract (see DESIGN.md, "Runtime & caching"):
   through shared process state;
 * results are normalized through a JSON round-trip before they are
   returned or cached, so the sequential path, the pool path, and a
-  cache-hit replay yield byte-identical records.
+  cache-hit or memo-hit replay yield byte-identical records.
 
 Worker-side dataset reuse comes for free: runners go through
 ``repro.experiments.harness.get_dataset``, whose bounded cache is
@@ -21,6 +21,7 @@ application generates its measurement pool once.
 """
 from __future__ import annotations
 
+import copy
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -80,13 +81,14 @@ class Runtime:
         pickling, just a loop over the runners.
     cache_dir
         Directory for the content-addressed :class:`ResultCache`.  When
-        ``None``, nothing is persisted and every job executes.
+        ``None``, nothing is persisted, but each distinct spec still
+        executes only once per runtime (see the memo below).
     on_result
         Optional callback ``(spec, record) -> None`` invoked in the
-        *driver* process for each job that actually executed (cache hits
-        are skipped — their side effects already happened).  This is the
-        publish-after-fit hook: the serving layer registers a callback
-        that pushes freshly fitted models into a
+        *driver* process for each job that actually executed (cache and
+        memo hits are skipped — their side effects already happened).
+        This is the publish-after-fit hook: the serving layer registers a
+        callback that pushes freshly fitted models into a
         :class:`repro.serve.ModelRegistry` as sweeps complete (see
         ``run_tune_job``'s ``publish_dir`` for the job-level variant).
     retries, retry_delay_s
@@ -117,9 +119,18 @@ class Runtime:
         heartbeating, and after this many seconds a surviving worker
         reclaims and re-runs the job (idempotently).
 
-    ``hits``/``executed`` count cache hits and actually-run jobs across
-    the runtime's lifetime; :meth:`snapshot` lets callers report per-sweep
-    deltas.
+    Every runtime also keeps an in-memory memo of the records of the jobs
+    it finished, keyed by :attr:`JobSpec.key` (runners are pure functions
+    of their spec).  :meth:`run` answers a spec from the disk cache first,
+    then from the memo, and executes it only when both miss; a spec listed
+    twice in one call runs once and its later slots are hits.  A memo hit
+    is a deep copy, so callers may mutate what they get back.  Failed or
+    quarantined jobs are never memoized, and a time-budgeted spec keeps
+    the truncation of its first run, as the disk cache does.
+
+    ``hits``/``executed`` count cache or memo hits and actually-run jobs
+    across the runtime's lifetime; :meth:`snapshot` lets callers report
+    per-sweep deltas.
     """
 
     def __init__(
@@ -148,96 +159,127 @@ class Runtime:
         self.quarantined: list = []
         self.hits = 0
         self.executed = 0
+        self._memo: dict = {}
 
     def snapshot(self) -> tuple:
         """Current ``(hits, executed)`` counters."""
         return (self.hits, self.executed)
 
+    def _lookup(self, spec: JobSpec):
+        """A finished record for ``spec`` (disk cache, then memo), or ``None``."""
+        if self.cache is not None:
+            record = self.cache.get(spec)
+            if record is not None:
+                return record
+        return self._from_memo(spec.key)
+
+    def _from_memo(self, key: str):
+        if key not in self._memo:
+            return None
+        return copy.deepcopy(self._memo[key])
+
     def _record(self, spec: JobSpec, record, elapsed: float) -> None:
-        """Book-keep one finished job (counter + cache write)."""
-        self.executed += 1
+        """Book-keep one job finished in this process (cache write first)."""
         if self.cache is not None:
             self.cache.put(spec, record, elapsed=elapsed)
+        self._finished(spec, record)
+
+    def _finished(self, spec: JobSpec, record) -> None:
+        """Count, memoize and announce one executed job."""
+        self.executed += 1
+        self._memo[spec.key] = copy.deepcopy(record)
         if self.on_result is not None:
             self.on_result(spec, record)
 
     def run(self, specs: list) -> list:
         """Execute ``specs`` and return their records in submission order.
 
-        Cached jobs are answered from disk without executing anything;
-        the remainder run sequentially (``jobs == 1``) or on a process
-        pool.  Records are cached *as each job completes*, so a sweep
-        interrupted or failed mid-batch keeps every finished job and
-        resumes from exactly the missing ones.
+        Jobs answered by the disk cache or the memo execute nothing; the
+        remaining distinct specs run sequentially (``jobs == 1``), on a
+        process pool, or through the work queue.  Records are cached *as
+        each job completes*, so a sweep interrupted or failed mid-batch
+        keeps every finished job and resumes from exactly the missing
+        ones.  A slot whose job failed under ``quarantine`` stays ``None``,
+        and so do its repeats.
         """
         specs = list(specs)
         for spec in specs:
             if not isinstance(spec, JobSpec):
                 raise TypeError(f"expected JobSpec, got {type(spec).__name__}")
         results: list = [None] * len(specs)
-        pending = []
+        pending = []  # the first slot of each spec that must run
+        repeats = []  # later slots of those specs
+        pending_keys = set()
         for i, spec in enumerate(specs):
-            cached = self.cache.get(spec) if self.cache is not None else None
-            if cached is not None:
-                results[i] = cached
+            if spec.key in pending_keys:
+                repeats.append(i)
+                continue
+            record = self._lookup(spec)
+            if record is not None:
+                results[i] = record
                 self.hits += 1
             else:
+                pending_keys.add(spec.key)
                 pending.append(i)
-        if not pending:
-            return results
 
-        if self.queue_dir is not None:
-            self._run_queued(specs, pending, results)
-            return results
+        if pending:
+            if self.queue_dir is not None:
+                self._run_queued(specs, pending, results)
+            elif self.jobs == 1 or len(pending) == 1:
+                self._run_sequential(specs, pending, results)
+            else:
+                self._run_pool(specs, pending, results)
 
-        items = [
-            (specs[i].fn, specs[i].params, specs[i].key,
-             self.retries, self.retry_delay_s)
-            for i in pending
-        ]
-        if self.jobs == 1 or len(pending) == 1:
-            # In-process path: the per-job reseeding must not leak into the
-            # caller's global RNG stream (historical sequential behaviour).
-            saved_rng = np.random.get_state()
-            try:
-                for i, item in zip(pending, items):
-                    try:
-                        record, elapsed = _run_one(item)
-                    except Exception as exc:
-                        if not self.quarantine:
-                            raise
-                        self.quarantined.append((specs[i], exc))
-                        continue
-                    results[i] = record
-                    self._record(specs[i], record, elapsed)
-            finally:
-                np.random.set_state(saved_rng)
-        else:
-            workers = min(self.jobs, len(pending))
-            failure = None
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_run_one, item): i
-                    for item, i in zip(items, pending)
-                }
-                for fut in as_completed(futures):
-                    i = futures[fut]
-                    try:
-                        record, elapsed = fut.result()
-                    except BaseException as exc:
-                        # Keep consuming so finished jobs still get cached;
-                        # then either quarantine the failures or surface
-                        # the first one (historical behaviour).
-                        if self.quarantine and isinstance(exc, Exception):
-                            self.quarantined.append((specs[i], exc))
-                        elif failure is None:
-                            failure = exc
-                        continue
-                    results[i] = record
-                    self._record(specs[i], record, elapsed)
-            if failure is not None:
-                raise failure
+        for i in repeats:
+            record = self._from_memo(specs[i].key)
+            if record is not None:
+                results[i] = record
+                self.hits += 1
         return results
+
+    def _item(self, spec: JobSpec) -> tuple:
+        """The picklable :func:`_run_one` argument for ``spec``."""
+        return (spec.fn, spec.params, spec.key, self.retries, self.retry_delay_s)
+
+    def _run_sequential(self, specs: list, pending: list, results: list) -> None:
+        # In-process path: the per-job reseeding must not leak into the
+        # caller's global RNG stream (historical sequential behaviour).
+        saved_rng = np.random.get_state()
+        try:
+            for i in pending:
+                try:
+                    record, elapsed = _run_one(self._item(specs[i]))
+                except Exception as exc:
+                    if not self.quarantine:
+                        raise
+                    self.quarantined.append((specs[i], exc))
+                    continue
+                results[i] = record
+                self._record(specs[i], record, elapsed)
+        finally:
+            np.random.set_state(saved_rng)
+
+    def _run_pool(self, specs: list, pending: list, results: list) -> None:
+        failure = None
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
+            futures = {pool.submit(_run_one, self._item(specs[i])): i for i in pending}
+            for fut in as_completed(futures):
+                i = futures[fut]
+                try:
+                    record, elapsed = fut.result()
+                except BaseException as exc:
+                    # Keep consuming so finished jobs still get cached;
+                    # then either quarantine the failures or surface
+                    # the first one (historical behaviour).
+                    if self.quarantine and isinstance(exc, Exception):
+                        self.quarantined.append((specs[i], exc))
+                    elif failure is None:
+                        failure = exc
+                    continue
+                results[i] = record
+                self._record(specs[i], record, elapsed)
+        if failure is not None:
+            raise failure
 
     def _run_queued(self, specs: list, pending: list, results: list) -> None:
         """Execute the pending slots through a spooled work queue.
@@ -268,9 +310,7 @@ class Runtime:
             record = self.cache.get(spec)
             if record is not None:
                 results[i] = record
-                self.executed += 1
-                if self.on_result is not None:
-                    self.on_result(spec, record)
+                self._finished(spec, record)
                 continue
             error = failures.get(spec.key, {}).get("error", "no result record")
             exc = RuntimeError(f"queue job {spec.describe()} failed: {error}")

@@ -52,6 +52,7 @@ from pathlib import Path
 from repro.faults import fault_point, install_from_env, active
 from repro.runtime.cache import ResultCache
 from repro.runtime.spec import JobSpec
+from repro.utils.files import atomic_write
 
 __all__ = ["WorkQueue", "run_queue_worker", "probe_job"]
 
@@ -154,7 +155,10 @@ class WorkQueue:
 
         Idempotent: submitting the same spec twice writes one file, and a
         spec whose result is already cached is not spooled at all (the
-        driver answers it as a cache hit).  Returns the submitted keys.
+        driver answers it as a cache hit).  Submitting a spec that an
+        earlier submission left in ``failed/`` re-arms it, just as a
+        sequential rerun re-executes a failed job.  Returns the submitted
+        keys.
         """
         submitted = []
         for spec in specs:
@@ -162,6 +166,7 @@ class WorkQueue:
                 raise TypeError(f"expected JobSpec, got {type(spec).__name__}")
             if self.cache.get(spec) is not None:
                 continue
+            (self.failed_dir / f"{spec.key}.json").unlink(missing_ok=True)
             path = self.specs_dir / f"{spec.key}.json"
             if not path.exists():
                 payload = json.dumps(
@@ -169,9 +174,7 @@ class WorkQueue:
                     indent=1,
                     default=_json_default,
                 )
-                tmp = path.with_suffix(f".tmp.{os.getpid()}")
-                tmp.write_text(payload)
-                os.replace(tmp, path)
+                atomic_write(path, payload)
             submitted.append(spec.key)
         return submitted
 
@@ -366,14 +369,12 @@ class WorkQueue:
         return done
 
     def _mark_failed(self, key: str, exc: Exception) -> None:
-        path = self.failed_dir / f"{key}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
+        atomic_write(
+            self.failed_dir / f"{key}.json",
             json.dumps(
                 {"key": key, "error": f"{type(exc).__name__}: {exc}", "pid": os.getpid()}
-            )
+            ),
         )
-        os.replace(tmp, path)
 
     # -- driver orchestration --------------------------------------------------
 

@@ -55,6 +55,7 @@ from pathlib import Path
 
 from repro.core.model import rank_attribution
 from repro.faults import fault_point, mangle, retry_call
+from repro.utils.files import atomic_write, fsync_dir
 from repro.utils.serialization import dumps_model, loads_model
 
 __all__ = ["ModelRegistry", "ModelVersion"]
@@ -96,47 +97,12 @@ class ModelVersion:
         }
 
 
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory's entry table (making a rename/link durable)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - e.g. O_RDONLY on a dir (Windows)
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs without directory fsync
-        pass
-    finally:
-        os.close(fd)
-
-
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Durably write ``data`` to ``path``: temp file + fsync + rename + dir fsync.
-
-    The fsyncs are load-bearing, not ceremony: ``os.replace`` alone
-    orders the rename against *nothing* — after a crash the directory
-    entry can point at a file whose blocks never hit disk, i.e. a
-    published manifest referencing a blob of zeros.  Syncing the temp
-    file before the rename and the parent directory after it gives the
-    standard write-ahead guarantee: once the name is visible, its
-    content is on disk.
+    """Durably write ``data`` to ``path`` through the ``registry.write`` fault
+    point.  Durable, not just atomic: a visible manifest must never reference
+    a blob whose blocks never hit disk (see :mod:`repro.utils.files`).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = mangle("registry.write", data)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(path.parent)
+    atomic_write(path, mangle("registry.write", data), durable=True)
 
 
 class ModelRegistry:
@@ -300,7 +266,7 @@ class ModelRegistry:
                     fh.flush()
                     os.fsync(fh.fileno())  # content durable before the claim
                 os.link(tmp, path)  # atomic claim of this version number
-                _fsync_dir(mdir)  # the claim itself durable before hooks run
+                fsync_dir(mdir)  # the claim itself durable before hooks run
             except FileExistsError:
                 # Another publisher claimed it — possibly within the same
                 # mtime tick, so drop the cached pointer before rescanning

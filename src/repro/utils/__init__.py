@@ -1,4 +1,5 @@
-"""Shared utilities: RNG handling, serialization, validation, tables."""
+"""Shared utilities: RNG handling, serialization, atomic writes, validation, tables."""
+from repro.utils.files import atomic_write
 from repro.utils.rng import as_generator, spawn_rngs
 from repro.utils.serialization import load_model, model_size_bytes, save_model
 from repro.utils.tables import format_table
@@ -10,6 +11,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "atomic_write",
     "as_generator",
     "spawn_rngs",
     "model_size_bytes",

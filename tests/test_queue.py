@@ -179,6 +179,24 @@ class TestWorkLoop:
         assert queue.work() == 0
 
 
+class TestSpoolWrites:
+    def test_failed_writes_leave_no_temp_file(self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path / "spool")
+        (spec,) = probe_specs(1)
+
+        def broken_replace(src, dst):
+            raise OSError("injected write failure")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", broken_replace)
+            with pytest.raises(OSError, match="injected"):
+                queue.submit([spec])
+            with pytest.raises(OSError, match="injected"):
+                queue._mark_failed(spec.key, ValueError("poison"))
+        assert list(queue.specs_dir.iterdir()) == []
+        assert list(queue.failed_dir.iterdir()) == []
+
+
 class TestRuntimeIntegration:
     def _result_map(self, cache: ResultCache, specs) -> dict:
         return {s.key: cache.get(s) for s in specs}

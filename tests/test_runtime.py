@@ -1,14 +1,17 @@
 """Tests for the parallel, resumable experiment runtime.
 
-Covers the satellite contract from the runtime PR: content-addressed
-hashing, cache hit/miss/invalidation, parallel-vs-sequential result
-equality on a Figure-5-style sweep, and resume-after-interrupt.
+Covers content-addressed hashing, cache hit/miss/invalidation,
+parallel-vs-sequential result equality on a Figure-5-style sweep,
+resume-after-interrupt, and the per-runtime memo of finished records on
+the sequential, pool and queue paths.
 """
 import json
 
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan
 from repro.runtime import (
     CACHE_SCHEMA_VERSION,
     JobSpec,
@@ -256,3 +259,89 @@ class TestRunTuneJob:
     def test_no_density_unless_requested(self):
         (rec,) = execute([tune_spec()])
         assert "density" not in rec
+
+
+class TestDeterminism:
+    def test_fresh_runtimes_give_the_same_record(self):
+        """The memo answers a repeated spec within one runtime, so two
+        fresh runtimes are what still show a nondeterministic runner."""
+        from repro.experiments.config import n_test, tuning_grid
+        from repro.experiments.harness import tune_job_spec
+
+        spec = tune_job_spec(
+            app="bcast", model="cpr", n_train=512, n_test=n_test("smoke"),
+            grid=tuning_grid("cpr", "smoke"), seed=0,
+        )
+        (first,) = Runtime().run([spec])
+        (second,) = Runtime().run([spec])
+        assert first["skipped"] is False and len(first["results"]) > 1
+        assert _strip_times([first]) == _strip_times([second])
+
+
+_PROBE = "repro.runtime.queue:probe_job"
+
+#: Every execution path of ``Runtime.run``; ``tmp`` is a per-test directory.
+_PATHS = {
+    "sequential": lambda tmp, **kw: Runtime(**kw),
+    "pool": lambda tmp, **kw: Runtime(jobs=2, **kw),
+    "queue": lambda tmp, **kw: Runtime(queue_dir=tmp / "spool", queue_workers=2, **kw),
+}
+
+
+def probe(value) -> JobSpec:
+    return JobSpec(_PROBE, {"value": value})
+
+
+@pytest.fixture(params=list(_PATHS))
+def make_runtime(request, tmp_path):
+    yield lambda **kw: _PATHS[request.param](tmp_path, **kw)
+    faults.clear()
+
+
+class TestMemo:
+    """One runtime runs each distinct spec once, on every path."""
+
+    def test_each_distinct_spec_executes_once(self, make_runtime):
+        announced = []
+        rt = make_runtime(on_result=lambda spec, rec: announced.append(spec.key))
+        a, b = probe(1), probe(2)
+        assert rt.run([a, b, a, b, a]) == [{"value": v} for v in (1, 2, 1, 2, 1)]
+        assert rt.snapshot() == (3, 2)
+        assert rt.run([b, a]) == [{"value": 2}, {"value": 1}]
+        assert rt.snapshot() == (5, 2)
+        # Once per executed spec: hits have no side effects to replay.
+        assert sorted(announced) == sorted([a.key, b.key])
+
+    def test_hits_are_equal_independent_copies(self, make_runtime):
+        rt = make_runtime()
+        spec, other = probe([1, {"k": 2}]), probe(0)
+        want = {"value": [1, {"k": 2}]}
+        executed, hit1, _, hit2 = rt.run([spec, spec, other, spec])
+        assert executed == hit1 == hit2 == want
+        assert hit1 is not hit2 and hit1["value"] is not executed["value"]
+        executed["value"].append("x")
+        hit1["value"][1]["k"] = "y"
+        assert hit2 == want
+        assert rt.run([spec]) == [want]
+        assert rt.snapshot() == (3, 2)
+
+    def test_disk_record_takes_precedence(self, make_runtime, tmp_path):
+        rt = make_runtime(cache_dir=tmp_path / "cache")
+        spec = probe(4)
+        assert rt.run([spec]) == [{"value": 4}]
+        ResultCache(tmp_path / "cache").put(spec, {"value": "from disk"})
+        assert rt.run([spec]) == [{"value": "from disk"}]
+        assert rt.snapshot() == (1, 1)
+
+    def test_quarantined_spec_is_not_memoized(self, make_runtime):
+        rt = make_runtime(quarantine=True, retry_delay_s=0.0)
+        a, b = probe(5), probe(6)
+        # Every job fails (in the driver or in forked workers alike).
+        failing = FaultPlan().on("runtime.job", "error", error="value", max_fires=None)
+        with faults.injected(failing):
+            assert rt.run([a, b, a]) == [None, None, None]
+        assert sorted(s.key for s, _ in rt.quarantined) == sorted([a.key, b.key])
+        assert rt.snapshot() == (0, 0)
+        # Healed: both run again instead of replaying the failure.
+        assert rt.run([a, b]) == [{"value": 5}, {"value": 6}]
+        assert rt.snapshot() == (0, 2)

@@ -1,9 +1,12 @@
-"""Tests for repro.utils: rng, serialization, validation, tables."""
+"""Tests for repro.utils: rng, serialization, atomic writes, validation, tables."""
+import os
+
 import numpy as np
 import pytest
 
 from repro.utils import (
     as_generator,
+    atomic_write,
     check_1d,
     check_2d,
     check_matching_rows,
@@ -142,3 +145,23 @@ class TestTables:
     def test_zero_and_str(self):
         s = format_table(["x", "y"], [[0.0, "hi"]])
         assert "0" in s and "hi" in s
+
+
+class TestAtomicWrite:
+    def test_replaces_whole_file_without_fsync(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def spy_fsync(fd):
+            synced.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        path = tmp_path / "sub" / "record.json"
+        atomic_write(path, "first")
+        atomic_write(path, b"second")
+        assert path.read_bytes() == b"second"
+        assert synced == []  # atomic is not durable unless asked
+        atomic_write(path, "third", durable=True)
+        assert path.read_text() == "third" and len(synced) == 2  # file, dir
+        assert os.listdir(path.parent) == ["record.json"]
