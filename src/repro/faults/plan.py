@@ -25,8 +25,8 @@ Deterministic
     often any other site is hit.  The same plan against the same
     workload injects the same faults.
 Cross-process
-    The plan is module state, so ``fork``-based children (fleet workers,
-    runtime pool workers) inherit it — with counters *as of the fork*,
+    The plan is module state, so ``fork``-based children (runtime pool
+    and queue workers) inherit it — with counters *as of the fork*,
     and independently thereafter (each forked worker makes its own
     firing decisions, which is what per-worker faults need).  For
     non-inheriting processes, :data:`ENV_VAR` carries the plan as JSON
@@ -339,7 +339,7 @@ def mangle(site: str, data: bytes) -> bytes:
 def install_from_env(environ=None) -> FaultPlan | None:
     """Install the plan serialized in :data:`ENV_VAR`, if any.
 
-    Called by the CLIs and the fleet worker entry point so chaos runs
+    Called by the CLIs and the queue worker entry point so chaos runs
     can reach processes that were not forked from an installed plan.
     """
     text = (os.environ if environ is None else environ).get(ENV_VAR)

@@ -4,9 +4,9 @@ The single retry primitive every layer shares (registry I/O, stream
 publishes, runtime jobs), so the backoff policy is uniform and testable
 in one place.  Full jitter — each delay is drawn uniformly from
 ``[0, min(max_delay, base * 2^attempt)]`` — because synchronized
-retries from a fleet of workers against one registry are a thundering
-herd, and full jitter is the standard fix (decorrelates retry storms at
-the cost of occasionally retrying immediately, which is fine).
+retries from many queue workers or streams against one registry are a
+thundering herd, and full jitter is the standard fix (decorrelates retry
+storms at the cost of occasionally retrying immediately, which is fine).
 """
 from __future__ import annotations
 

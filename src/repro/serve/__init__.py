@@ -23,20 +23,10 @@ so the design splits cleanly into:
     protocol — with microbatching that coalesces concurrent requests
     into single engine calls, and admission control that sheds past a
     bounded in-flight count instead of queueing without limit.
-:class:`~repro.serve.fleet.ServeFleet` (``python -m repro.serve --workers N``)
-    Multi-process sharded serving: N worker processes accept on one
-    port (``SO_REUSEPORT`` where available, inherited listening FD
-    elsewhere) and map each published model out of one
-    ``multiprocessing.shared_memory`` segment
-    (:mod:`repro.serve.shm_store`), so resident model memory does not
-    scale with the worker count and a drift-triggered republish
-    hot-swaps every worker without a restart.
 
-See DESIGN.md ("Serving" and "Fleet serving") for the registry layout,
-request schema and the shm blob lifecycle.
+See DESIGN.md ("Serving") for the registry layout and request schema.
 """
 from repro.serve.engine import PredictionEngine
-from repro.serve.fleet import ServeFleet
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.server import (
     MicroBatcher,
@@ -53,5 +43,4 @@ __all__ = [
     "Overloaded",
     "PredictTimeout",
     "PredictionEngine",
-    "ServeFleet",
 ]

@@ -158,10 +158,6 @@ class PredictionEngine:
             last_s, last_n = self._last_s, self._last_n
         return {
             "model": self.name,
-            # Where the model bytes live: "shm" for a fleet worker's
-            # zero-copy shared-memory attach, "local" for a plain
-            # deserialized (per-process) copy.
-            "source": getattr(model, "_served_from_", "local"),
             # Which kernel backend fitted the active model (None for
             # models without backend attribution, e.g. baselines).
             "fit_backend": getattr(model, "fit_backend_", None),

@@ -124,7 +124,6 @@ class ModelRegistry:
         self._cache: OrderedDict[str, object] = OrderedDict()  # digest -> model
         self._hits = 0
         self._misses = 0
-        self._publish_hooks: list = []
         # Latest-pointer cache: name -> (dir st_mtime_ns, latest version).
         # Every unversioned resolve used to listdir + regex the manifest
         # directory — a full directory scan per predict on the serving
@@ -147,26 +146,6 @@ class ModelRegistry:
         self._channels: dict[str, tuple[int, dict]] = {}
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
         (self.root / "models").mkdir(parents=True, exist_ok=True)
-
-    # -- publish hooks ---------------------------------------------------------
-
-    def add_publish_hook(self, hook) -> None:
-        """Register ``hook(mv: ModelVersion)``, called after each publish.
-
-        The streaming pipeline uses this to observe drift-triggered
-        republishes (telemetry, hot-swapping a local engine); hooks run
-        in the publisher's thread *after* the version is claimed, so a
-        raising hook surfaces to the publisher but can no longer undo or
-        corrupt the publish.  In-process only — hooks see publishes
-        through this registry object, not other processes'.
-        """
-        with self._lock:
-            self._publish_hooks.append(hook)
-
-    def remove_publish_hook(self, hook) -> None:
-        """Unregister a hook added with :meth:`add_publish_hook`."""
-        with self._lock:
-            self._publish_hooks.remove(hook)
 
     # -- paths -----------------------------------------------------------------
 
@@ -266,7 +245,7 @@ class ModelRegistry:
                     fh.flush()
                     os.fsync(fh.fileno())  # content durable before the claim
                 os.link(tmp, path)  # atomic claim of this version number
-                fsync_dir(mdir)  # the claim itself durable before hooks run
+                fsync_dir(mdir)  # the claim itself durable before we return
             except FileExistsError:
                 # Another publisher claimed it — possibly within the same
                 # mtime tick, so drop the cached pointer before rescanning
@@ -294,14 +273,9 @@ class ModelRegistry:
                 state = self._read_channels_fresh(name)
                 state["latest"] = version
                 self._write_channels(name, state, event="publish", version=version)
-            mv = ModelVersion(
+            return ModelVersion(
                 name, version, digest, record["created"], record["meta"]
             )
-            with self._lock:
-                hooks = list(self._publish_hooks)
-            for hook in hooks:
-                hook(mv)
-            return mv
 
     # -- channels (canary / shadow) --------------------------------------------
 

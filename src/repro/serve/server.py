@@ -361,7 +361,6 @@ class ModelServer:
         microbatch: bool = False,
         engine_cache_size: int = 16,
         max_inflight: int | None = None,
-        model_loader=None,
         request_timeout_ms: float | None = None,
     ):
         self.registry = registry
@@ -387,11 +386,6 @@ class ModelServer:
         self.max_inflight = None if max_inflight is None else max(int(max_inflight), 1)
         self._inflight = 0
         self._shed = 0
-        # ``model_loader(registry, mv) -> model`` overrides where model
-        # bytes come from; fleet workers pass a shared-memory attach
-        # with disk fallback so N workers don't hold N deserialized
-        # copies of the same published blob.
-        self._model_loader = model_loader
         self._closed = False
         self._lock = threading.Lock()
         self._engines: OrderedDict = OrderedDict()  # (name, ver, digest) -> engine
@@ -431,10 +425,7 @@ class ModelServer:
             if engine is not None:
                 self._engines.move_to_end(key)
                 return engine
-        if self._model_loader is not None:
-            model = self._model_loader(self.registry, mv)
-        else:
-            model, mv = self.registry.load_resolved(mv)
+        model, mv = self.registry.load_resolved(mv)
         evicted = []
         with self._lock:
             engine = self._engines.get(key)
@@ -542,8 +533,8 @@ class ModelServer:
             raise ValueError(f"unknown op {op!r}")
         except Overloaded:
             # Admission control shed the request.  ``code`` lets the
-            # HTTP transport answer 503 so a fleet load balancer retries
-            # another worker instead of treating it as a client error.
+            # HTTP transport answer 503, so a client knows to back off
+            # and retry instead of treating it as a malformed request.
             return {"ok": False, "error": "overloaded", "code": 503}
         except PredictTimeout:
             # Must precede the RuntimeError clause below (it is one):
@@ -737,12 +728,9 @@ def main(argv=None) -> int:
                         help="microbatch flush size (rows)")
     parser.add_argument("--cache-size", type=int, default=8,
                         help="registry LRU capacity (deserialized models)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes sharing the port (HTTP only; "
-                             ">1 starts a repro.serve.fleet)")
     parser.add_argument("--max-inflight", type=int, default=128,
-                        help="per-process admission bound before requests "
-                             "are shed with 503 overloaded")
+                        help="in-flight predict bound before requests are "
+                             "shed with 503 overloaded")
     parser.add_argument("--request-timeout-ms", type=float, default=30000.0,
                         help="per-request predict budget before a 504 "
                              "(0 disables)")
@@ -755,43 +743,6 @@ def main(argv=None) -> int:
         faults.install(faults.plan_from_arg(args.fault_plan))
     else:
         faults.install_from_env()
-
-    if args.workers > 1:
-        if args.http is None:
-            parser.error("--workers requires --http (the fleet shares a port)")
-        from repro.serve.fleet import (  # circular at module scope
-            ServeFleet,
-            exit_on_sigterm,
-        )
-
-        # ``kill <pid>`` must tear the fleet down like Ctrl-C does:
-        # reap workers, unlink shm segments (creator-only discipline).
-        exit_on_sigterm()
-        fleet = ServeFleet(
-            args.registry,
-            workers=args.workers,
-            port=args.http,
-            host=args.host,
-            default_model=args.model,
-            max_batch=args.max_batch,
-            max_inflight=args.max_inflight,
-            request_timeout_ms=args.request_timeout_ms,
-        )
-        fleet.start()
-        print(
-            f"[serve] registry={fleet.registry.root} fleet of "
-            f"{fleet.workers} workers ({fleet.socket_mode}) listening on "
-            f"http://{fleet.host}:{fleet.port}",
-            file=sys.stderr,
-        )
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            fleet.stop()
-        return 0
 
     registry = ModelRegistry(args.registry, cache_size=args.cache_size)
     server = ModelServer(

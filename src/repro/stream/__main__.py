@@ -120,13 +120,6 @@ def main(argv=None) -> int:
                         help="paired observations before a trial verdict")
     parser.add_argument("--canary-max-scores", type=int, default=256,
                         help="trial budget; undecided trials roll back")
-    parser.add_argument("--serve-workers", type=int, default=0,
-                        help="score through an HTTP worker fleet of this "
-                             "size instead of an in-process server (0 = "
-                             "in-process); drift republishes hot-swap the "
-                             "workers mid-stream")
-    parser.add_argument("--serve-port", type=int, default=0,
-                        help="fleet port with --serve-workers (0 = ephemeral)")
     parser.add_argument("--fault-plan", default=None, metavar="JSON|@FILE",
                         help="install a repro.faults FaultPlan (chaos runs): "
                              "inline JSON or @path/to/plan.json")
@@ -210,28 +203,6 @@ def main(argv=None) -> int:
 
         app = DriftingApplication(app, args.drift_at, factor=args.drift_factor)
 
-    fleet = None
-    if args.serve_workers > 0:
-        from repro.serve import ServeFleet
-        from repro.serve.fleet import exit_on_sigterm
-
-        # A SIGTERM mid-replay must still reach ``finally: fleet.stop()``
-        # below, or the workers orphan and the shm segments leak.
-        exit_on_sigterm()
-        fleet = ServeFleet(
-            args.registry,
-            workers=args.serve_workers,
-            port=args.serve_port,
-            default_model=name,
-        ).start()
-        # Our republishes reach the workers via the pack hook, not the
-        # (slower) manifest watch: the next scored batch after a drift
-        # refit already sees the new version.
-        fleet.track_registry(registry)
-        print(
-            f"[stream] serving through a {fleet.workers}-worker fleet "
-            f"({fleet.socket_mode}) on http://{fleet.host}:{fleet.port}"
-        )
     server = ModelServer(registry, default_model=name)
     factory = make_model_factory(
         app.space, cells=args.cells, rank=args.rank, loss=args.loss,
@@ -273,21 +244,8 @@ def main(argv=None) -> int:
             monitor=monitor, trainer=trainer, meta=meta, **canary_kwargs,
         )
 
-    def _fleet_handle(request: dict) -> dict:
-        import http.client
-        import json
-
-        conn = http.client.HTTPConnection(fleet.host, fleet.port, timeout=60)
-        try:
-            conn.request("POST", "/", json.dumps(request))
-            return json.loads(conn.getresponse().read())
-        finally:
-            conn.close()
-
-    handle = server.handle if fleet is None else _fleet_handle
-
     def server_predict(X):
-        resp = handle({"op": "predict", "model": name, "x": X.tolist()})
+        resp = server.handle({"op": "predict", "model": name, "x": X.tolist()})
         if not resp.get("ok"):
             raise RuntimeError(f"server predict failed: {resp.get('error')}")
         return np.array(
@@ -302,14 +260,10 @@ def main(argv=None) -> int:
         if args.rate > 0:
             time.sleep(args.batch / args.rate)
 
-    try:
-        summary = replay_application(
-            app, session, args.n, batch=args.batch, seed=args.seed,
-            predict_fn=server_predict, on_batch=on_batch,
-        )
-    finally:
-        if fleet is not None:
-            fleet.stop()
+    summary = replay_application(
+        app, session, args.n, batch=args.batch, seed=args.seed,
+        predict_fn=server_predict, on_batch=on_batch,
+    )
     session.buffer.close()
     trainer_rec = summary["trainer"]
     rolling = summary["drift"]["error"]

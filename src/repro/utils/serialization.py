@@ -41,8 +41,6 @@ import numpy as np
 __all__ = [
     "canonical_array",
     "model_size_bytes",
-    "model_payload",
-    "payload_to_model",
     "dumps_model",
     "loads_model",
     "model_digest",
@@ -114,44 +112,6 @@ def model_size_bytes(model) -> int:
     return buf.getbuffer().nbytes
 
 
-def model_payload(model, fit_state: bool = True):
-    """The picklable payload object :func:`dumps_model` serializes.
-
-    Exposed separately so consumers that need a different *byte* layout
-    than a flat pickle — the fleet's shared-memory store pickles this
-    payload with protocol-5 out-of-band buffers, letting every worker
-    process map the factor matrices zero-copy — share one definition of
-    "what a persisted model is" with :func:`dumps_model`.
-    """
-    state_fn, _ = _minimal_state_hooks(model)
-    if state_fn is None:
-        return model
-    payload = {
-        "__format__": _MINIMAL_FORMAT,
-        "class": (type(model).__module__, type(model).__qualname__),
-        "state": _canonical_state(state_fn()),
-    }
-    fit_fn = getattr(model, "__getstate_fit__", None)
-    if fit_state and callable(fit_fn):
-        fit = fit_fn()
-        if fit is not None:
-            payload["fit"] = _canonical_state(fit)
-    return payload
-
-
-def payload_to_model(obj):
-    """Rebuild a model from :func:`model_payload` output (or pass through)."""
-    if isinstance(obj, dict) and obj.get("__format__") == _MINIMAL_FORMAT:
-        module, qualname = obj["class"]
-        cls = getattr(import_module(module), qualname)
-        model = cls._from_minimal_state(obj["state"])
-        restore = getattr(model, "_restore_fit_state", None)
-        if "fit" in obj and callable(restore):
-            restore(obj["fit"])
-        return model
-    return obj
-
-
 def dumps_model(model, fit_state: bool = True) -> bytes:
     """Serialize ``model`` to bytes (the payload :func:`save_model` writes).
 
@@ -166,13 +126,34 @@ def dumps_model(model, fit_state: bool = True) -> bytes:
     prediction-only snapshot whose bytes equal exactly the state
     ``model_size_bytes`` measures.
     """
-    payload = model_payload(model, fit_state=fit_state)
+    payload = model
+    state_fn, _ = _minimal_state_hooks(model)
+    if state_fn is not None:
+        payload = {
+            "__format__": _MINIMAL_FORMAT,
+            "class": (type(model).__module__, type(model).__qualname__),
+            "state": _canonical_state(state_fn()),
+        }
+        fit_fn = getattr(model, "__getstate_fit__", None)
+        if fit_state and callable(fit_fn):
+            fit = fit_fn()
+            if fit is not None:
+                payload["fit"] = _canonical_state(fit)
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def loads_model(data: bytes):
     """Inverse of :func:`dumps_model` (restores fit state when present)."""
-    return payload_to_model(pickle.loads(data))
+    obj = pickle.loads(data)
+    if isinstance(obj, dict) and obj.get("__format__") == _MINIMAL_FORMAT:
+        module, qualname = obj["class"]
+        cls = getattr(import_module(module), qualname)
+        model = cls._from_minimal_state(obj["state"])
+        restore = getattr(model, "_restore_fit_state", None)
+        if "fit" in obj and callable(restore):
+            restore(obj["fit"])
+        return model
+    return obj
 
 
 def model_digest(model) -> str:

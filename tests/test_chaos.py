@@ -4,21 +4,22 @@ Every test here follows the same shape: install a deterministic
 :class:`repro.faults.FaultPlan` against one or more named injection
 sites, run a scenario the ordinary test suite already proves correct,
 and assert the *same* invariants hold — exact per-version predictions,
-journal-resume bookkeeping, registry cache coherence, no leaked
-``/dev/shm/repro-*`` segments — while the fault fires.
+journal-resume bookkeeping, registry cache coherence — while the fault
+fires.
 
-Fault classes exercised (the acceptance floor is five):
+Fault classes exercised:
 
 1. **I/O errors** — registry blob write/read, runtime job execution
-   (absorbed by ``retry_call``).
+   (absorbed by ``retry_call``; persistent job failures quarantined).
 2. **Torn writes** — a version manifest truncated mid-file (latest
    resolution falls back to the newest readable predecessor).
-3. **Worker crashes** — a fleet worker ``os._exit``-ing mid-request
-   (respawn), and a deterministic boot crash (crash-loop breaker).
-4. **Worker hangs** — SIGSTOP via the fault layer (heartbeat watchdog)
-   and a wedged predict (per-request 504 + flush-worker replacement).
-5. **Refit/publish failures** — the streaming trainer keeps serving the
+3. **Hangs** — a wedged predict (per-request 504 + flush-worker
+   replacement).
+4. **Refit/publish failures** — the streaming trainer keeps serving the
    incumbent, backs off, and recovers.
+
+Killed processes are the work queue's failure mode and are tested there
+(``tests/test_queue.py`` SIGKILLs a worker mid-batch).
 
 ``REPRO_CHAOS_SEED`` selects the plan seed (CI pins it; default 0) —
 per-site RNG streams are sha256-derived, so a given seed reproduces the
@@ -26,14 +27,7 @@ same schedule on any machine.
 """
 from __future__ import annotations
 
-import glob
-import http.client
-import json
 import os
-import signal
-import socket
-import subprocess
-import sys
 import threading
 import time
 
@@ -51,24 +45,13 @@ from repro.serve import (
     ModelRegistry,
     ModelServer,
     PredictTimeout,
-    ServeFleet,
-    shm_store,
 )
-from repro.serve.fleet import make_worker_server
 from repro.serve.server import Overloaded  # noqa: F401  (protocol sibling)
 from repro.stream import DriftMonitor, IncrementalTrainer, StreamSession
 from repro.stream.buffer import ObservationBuffer
 from repro.stream.runner import make_model_factory
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fleet workers are forked"
-)
-needs_shm = pytest.mark.skipif(
-    not shm_store.shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
-)
 
 
 def plan(**kwargs) -> FaultPlan:
@@ -80,10 +63,6 @@ def _no_leaked_plan():
     """No test may leave a plan installed for its neighbours."""
     yield
     faults.clear()
-
-
-def _shm_segments() -> set:
-    return set(glob.glob("/dev/shm/repro-*")) if os.path.isdir("/dev/shm") else set()
 
 
 @pytest.fixture(scope="module")
@@ -110,24 +89,6 @@ def _factory(app, **kw):
     params = dict(cells=4, rank=2, max_sweeps=5, seed=0)
     params.update(kw)
     return make_model_factory(app.space, **params)
-
-
-def _rpc(port, body, timeout=5.0, retries=100):
-    """POST one protocol request; retries connection-level failures."""
-    last = None
-    for _ in range(retries):
-        try:
-            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-            try:
-                conn.request("POST", "/", json.dumps(body))
-                response = conn.getresponse()
-                return response.status, json.loads(response.read())
-            finally:
-                conn.close()
-        except (ConnectionError, OSError) as exc:
-            last = exc
-            time.sleep(0.05)
-    raise last
 
 
 # -- the fault framework itself ------------------------------------------------
@@ -438,7 +399,7 @@ class TestRuntimeFaults:
                 Runtime(retry_delay_s=0.0).run([_tune_spec()])
 
 
-# -- fault class 5: stream refit / publish failures ----------------------------
+# -- fault class 4: stream refit / publish failures ----------------------------
 
 
 class TestStreamDegradation:
@@ -556,7 +517,7 @@ class TestStreamDegradation:
         resumed.buffer.close()
 
 
-# -- fault class 4b: wedged predicts -> 504, not a wedged server ---------------
+# -- fault class 3: wedged predicts -> 504, not a wedged server ----------------
 
 
 class TestPredictTimeout:
@@ -653,214 +614,3 @@ class TestPredictTimeout:
             assert resp["ok"]  # slow, but answered — historical behaviour
         finally:
             server.close()
-
-
-# -- shm faults: attach falls back to disk -------------------------------------
-
-
-@needs_shm
-class TestShmFaults:
-    def test_attach_failure_falls_back_to_disk(self, tmp_path, bcast_data, fitted):
-        _, _, test = bcast_data
-        reg = ModelRegistry(tmp_path)
-        mv = reg.publish("m", fitted)
-        with shm_store.ShmModelStore() as store:
-            store.ensure(mv.digest, fitted)
-            cfg = {
-                "registry_dir": str(tmp_path), "host": "127.0.0.1", "port": 0,
-                "default_model": "m", "max_batch": 64,
-                "max_inflight": 8, "shm": True, "attach_wait_s": 0.0,
-            }
-            with faults.injected(plan().on("shm.attach", "error", max_fires=None)):
-                server = make_worker_server(cfg)
-                try:
-                    resp = server.handle(
-                        {"op": "predict", "x": test.X[:4].tolist()}
-                    )
-                    assert resp["ok"]
-                    np.testing.assert_allclose(
-                        resp["y"], fitted.predict(test.X[:4])
-                    )
-                    stats = server.handle({"op": "stats"})
-                    assert stats["engines"][0]["source"] == "local"
-                finally:
-                    server.close()
-
-    def test_pack_failure_is_contained_by_fleet_hook(
-        self, tmp_path, bcast_data, fitted
-    ):
-        """A failing packer must not fail the publish it observes."""
-        before = _shm_segments()
-        reg = ModelRegistry(tmp_path)
-        fleet = ServeFleet(tmp_path, workers=1, respawn=False)
-        fleet.registry.add_publish_hook(fleet._on_publish)  # hook w/o start
-        try:
-            with faults.injected(plan().on("shm.pack", "error", max_fires=None)):
-                mv = fleet.registry.publish("m", fitted)
-            assert mv.version == 1  # publish survived the pack failure
-            assert fleet.store.digests() == []
-        finally:
-            fleet.store.close()
-        assert _shm_segments() == before
-
-
-# -- fault classes 3 + 4: fleet worker crash / hang ----------------------------
-
-
-@needs_shm
-@needs_fork
-class TestFleetChaos:
-    def test_worker_crash_respawn_serves_exact(self, tmp_path, bcast_data, fitted):
-        """Workers crash mid-request; the fleet heals and answers exactly."""
-        _, _, test = bcast_data
-        before = _shm_segments()
-        ModelRegistry(tmp_path).publish("m", fitted)
-        Xq = test.X[:4]
-        expect = fitted.predict(Xq)
-        # Workers inherit the plan at fork: each crashes on its first
-        # handled request.  The parent clears its copy right after start,
-        # so respawned workers fork clean and recovery is provable.
-        faults.install(plan().on("fleet.worker.serve", "crash", exit_code=7))
-        fleet = ServeFleet(
-            tmp_path, workers=2, default_model="m", poll_interval_s=0.05,
-            hang_timeout_s=5.0,
-        )
-        try:
-            with fleet:
-                faults.clear()
-                deadline = time.time() + 20
-                ok = 0
-                while time.time() < deadline and (ok < 3 or fleet.respawns < 1):
-                    status, out = _rpc(
-                        fleet.port, {"op": "predict", "x": Xq.tolist()},
-                        timeout=2.0,
-                    )
-                    if status == 200 and out.get("ok"):
-                        np.testing.assert_allclose(out["y"], expect)
-                        ok += 1
-                assert ok >= 3 and fleet.respawns >= 1
-                assert not fleet.breaker_open
-                # The second respawn may still be in its backoff window.
-                while time.time() < deadline and len(fleet.worker_pids()) < 2:
-                    time.sleep(0.05)
-                assert len(fleet.worker_pids()) == 2
-        finally:
-            faults.clear()
-        assert _shm_segments() == before
-
-    def test_boot_crash_loop_opens_breaker(self, tmp_path, fitted):
-        """A deterministic boot crash must not fork-loop forever."""
-        before = _shm_segments()
-        ModelRegistry(tmp_path).publish("m", fitted)
-        # Unlimited fires + an installed parent plan: every fork (initial
-        # and respawned) dies at boot.
-        faults.install(
-            plan().on("fleet.worker.boot", "crash", max_fires=None, exit_code=9)
-        )
-        fleet = ServeFleet(
-            tmp_path, workers=2, default_model="m", poll_interval_s=0.05,
-            crash_loop_threshold=3, crash_loop_window_s=30.0,
-            respawn_backoff_s=0.01,
-        )
-        try:
-            with fleet:
-                deadline = time.time() + 20
-                while time.time() < deadline and not fleet.breaker_open:
-                    time.sleep(0.05)
-                assert fleet.breaker_open
-                stabilized = fleet.respawns
-                time.sleep(0.5)
-                assert fleet.respawns == stabilized  # breaker holds
-        finally:
-            faults.clear()
-        assert _shm_segments() == before
-
-    def test_worker_stop_fault_triggers_watchdog(self, tmp_path, bcast_data, fitted):
-        """A worker SIGSTOPs itself mid-request; the watchdog replaces it."""
-        _, _, test = bcast_data
-        before = _shm_segments()
-        ModelRegistry(tmp_path).publish("m", fitted)
-        Xq = test.X[:2]
-        expect = fitted.predict(Xq)
-        faults.install(plan().on("fleet.worker.serve", "stop"))
-        fleet = ServeFleet(
-            tmp_path, workers=2, default_model="m", poll_interval_s=0.05,
-            hang_timeout_s=0.8,
-        )
-        try:
-            with fleet:
-                faults.clear()
-                initial = set(fleet.worker_pids())
-                deadline = time.time() + 25
-                ok = 0
-                while time.time() < deadline and (
-                    fleet.hang_kills < 1 or ok < 3
-                ):
-                    try:
-                        status, out = _rpc(
-                            fleet.port, {"op": "predict", "x": Xq.tolist()},
-                            timeout=1.5, retries=1,
-                        )
-                    except (ConnectionError, OSError):
-                        continue  # landed on the frozen worker: expected
-                    if status == 200 and out.get("ok"):
-                        np.testing.assert_allclose(out["y"], expect)
-                        ok += 1
-                assert fleet.hang_kills >= 1 and ok >= 3
-                # Frozen pids are killed and replaced (the second respawn
-                # may still be in its backoff window; wait it out).
-                while time.time() < deadline and len(fleet.worker_pids()) < 2:
-                    time.sleep(0.05)
-                pids = set(fleet.worker_pids())
-                assert len(pids) == 2
-                assert pids != initial  # at least one replacement happened
-        finally:
-            faults.clear()
-        assert _shm_segments() == before
-
-    def test_cli_sigterm_reaps_workers_and_shm(self, tmp_path, fitted):
-        """``kill <pid>`` on the CLI fleet parent must not leak anything.
-
-        The default SIGTERM action skips ``finally`` blocks, so without
-        ``exit_on_sigterm`` the workers orphan and the creator-owned shm
-        segments (creator-only unlink) stay in /dev/shm forever.
-        """
-        before = _shm_segments()
-        ModelRegistry(tmp_path).publish("m", fitted)
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve", "--registry", str(tmp_path),
-             "--http", str(port), "--workers", "2", "--model", "m"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            # Collect both worker pids: fresh connections land on either
-            # worker (SO_REUSEPORT), so ping until two distinct answer.
-            pids, deadline = set(), time.time() + 20
-            while time.time() < deadline and len(pids) < 2:
-                try:
-                    status, out = _rpc(port, {"op": "ping"}, retries=1)
-                except (ConnectionError, OSError):
-                    time.sleep(0.1)
-                    continue
-                if status == 200:
-                    pids.add(out["pid"])
-            assert len(pids) == 2, pids
-            assert _shm_segments() - before  # the published digest is packed
-            proc.terminate()  # plain SIGTERM, exactly what `kill` sends
-            assert proc.wait(timeout=15) == 128 + signal.SIGTERM
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-        # stop() escalation reaped both workers; the shm store unlinked.
-        deadline = time.time() + 10
-        while time.time() < deadline and _shm_segments() != before:
-            time.sleep(0.1)
-        assert _shm_segments() == before
-        for pid in pids:
-            with pytest.raises(OSError):  # ESRCH: no such process
-                os.kill(pid, 0)

@@ -1,11 +1,14 @@
-"""Serving subsystem: registry, engine, server protocol, publish hooks."""
+"""Serving subsystem: registry, engine, server protocol, CLI, publish-after-fit."""
 from __future__ import annotations
 
 import http.client
 import io
 import json
 import os
+import re
+import signal
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.apps import Broadcast
 from repro.core import CPRModel
 from repro.datasets import generate_dataset
@@ -495,6 +499,56 @@ def test_http_keepalive_predicts_do_not_wait_for_delayed_ack(
         srv.close()
 
 
+#: The stderr line that reports the bound port; perfbench/harness.py parses
+#: it with this same pattern, so the two must stay in step.
+_LISTEN_RE = re.compile(r"listening on http://([0-9.]+):(\d+)")
+
+
+def test_cli_http_serves_and_exits_on_sigterm(tmp_path, bcast_data, fitted):
+    """``python -m repro.serve --http 0`` as a process: port line, exact
+    predictions over the socket, and a prompt exit on SIGTERM."""
+    _, _, test = bcast_data
+    ModelRegistry(tmp_path / "reg").publish("m", fitted)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("REPRO_FAULTS", None)
+    log_path = tmp_path / "serve.log"
+    with open(log_path, "wb") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--registry",
+             str(tmp_path / "reg"), "--http", "0", "--model", "m"],
+            env=env, stdout=subprocess.DEVNULL, stderr=log,
+        )
+    try:
+        deadline = time.monotonic() + 30
+        match = None
+        while match is None and proc.poll() is None and time.monotonic() < deadline:
+            match = _LISTEN_RE.search(log_path.read_text(errors="replace"))
+            time.sleep(0.02)
+        assert match, log_path.read_text(errors="replace")
+        host, port = match.group(1), int(match.group(2))
+
+        def rpc(body):
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("POST", "/", json.dumps(body))
+                resp = conn.getresponse()
+                return resp.status, json.loads(resp.read())
+            finally:
+                conn.close()
+
+        assert rpc({"op": "ping"}) == (200, {"ok": True, "op": "ping"})
+        status, out = rpc({"op": "predict", "x": test.X.tolist()})
+        assert status == 200 and out["model"] == "m@v1", out
+        assert np.array_equal(np.asarray(out["y"]), fitted.predict(test.X))
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=15)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 def test_server_microbatched_predictions_match(tmp_path, bcast_data, fitted):
     _, _, test = bcast_data
     reg = ModelRegistry(tmp_path)
@@ -789,19 +843,6 @@ def test_server_concurrent_predict_while_republishing(tmp_path, bcast_data):
     np.testing.assert_allclose(final["y"], expected[18])
 
 
-def test_registry_publish_hooks_fire_and_unsubscribe(tmp_path, fitted):
-    reg = ModelRegistry(tmp_path)
-    seen: list = []
-    hook = lambda mv: seen.append(mv.ref)
-    reg.add_publish_hook(hook)
-    reg.publish("m", fitted)
-    reg.publish("m", fitted)
-    assert seen == ["m@v1", "m@v2"]
-    reg.remove_publish_hook(hook)
-    reg.publish("m", fitted)
-    assert seen == ["m@v1", "m@v2"]  # unsubscribed
-
-
 def test_engine_swap_model_is_atomic_under_load(bcast_data):
     """Predictions during swap_model match exactly one of the two models."""
     app, train, test = bcast_data
@@ -832,7 +873,7 @@ def test_engine_swap_model_is_atomic_under_load(bcast_data):
     np.testing.assert_allclose(engine.predict(Xq), ya)  # ends on model a
 
 
-# -- serve-path bugfix sweep (fleet PR) ----------------------------------------
+# -- serve-path bugfix sweep ---------------------------------------------------
 
 
 class _SlowModel:

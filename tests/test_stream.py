@@ -303,8 +303,6 @@ class TestStreamSession:
         app, _ = bcast
         registry = ModelRegistry(tmp_path / "reg")
         server = ModelServer(registry, default_model="bcast-stream")
-        hook_versions = []
-        registry.add_publish_hook(lambda mv: hook_versions.append(mv.version))
         factory = _factory(app)
         monitor = DriftMonitor(window=32, threshold=0.2, min_count=16)
         session = StreamSession(
@@ -314,12 +312,13 @@ class TestStreamSession:
         summary = replay_application(app, session, 200, batch=32, seed=0)
         assert summary["trainer"]["fit"] == 1
         assert summary["republished"] >= 1  # at least one auto-republish
-        assert summary["published_versions"] == hook_versions
-        assert registry.resolve("bcast-stream").version == hook_versions[-1]
+        versions = registry.versions("bcast-stream")
+        assert summary["published_versions"] == versions
+        assert registry.resolve("bcast-stream").version == versions[-1]
         # The server serves the latest version without any restart.
         resp = server.handle({"op": "predict", "x": [[4, 8, 2**20]]})
         assert resp["ok"]
-        assert resp["model"] == f"bcast-stream@v{hook_versions[-1]}"
+        assert resp["model"] == f"bcast-stream@v{versions[-1]}"
         # Published manifests carry the stream cursor for resume.
         assert registry.resolve("bcast-stream").meta["stream_seq"] <= 200
 
