@@ -10,7 +10,7 @@ dispatch to the kernel backends like ``complete_als`` does:
 :func:`complete_als_regularized`
     ALS with *column-wise* L2 penalties threaded through the per-mode
     normal equations (``lam`` becomes a vector ``(R,)`` — see
-    ``_solve_rows``/``_ModeWorkspace`` in ``als.py``) and an
+    ``_solve_rows``/``_ModeWorkspace`` in ``state.py``) and an
     optional nonnegativity projection after each mode solve.  Graded
     penalties (the default) implement the "practical regularization" of
     Jiang et al. (arXiv:2103.16852): trailing components face stiffer

@@ -19,11 +19,11 @@ Implementation notes (hot path, vectorized per the hpc-parallel guides):
   row by the fit-wide :class:`~repro.core.completion.state.ObservationPlan`,
   ragged per-row Gram matrices reduced with one zero-padded batched GEMM,
   the ``(n_rows, R, R)`` stack solved by a single batched LAPACK call).
-* ``numpy_batched``'s fit context caches every factor's gathered rows,
-  ``rows[k] = U_k[indices[:, k]]``: a mode update multiplies the cached
-  rows of the other modes instead of gathering them again, and re-gathers
-  only ``rows[j]`` after its solve; the per-sweep objective reads the
-  same rows (``ctx.evaluate``).  The context also keeps a running prefix
+* ``numpy_batched``'s fit context (``_RowCache``, shared with AMN)
+  caches every factor's gathered rows, ``rows[k] = U_k[indices[:, k]]``:
+  a mode update multiplies the cached rows of the other modes instead of
+  gathering them again, and re-gathers only ``rows[j]`` after its solve;
+  the per-sweep objective reads the same rows (``ctx.evaluate``).  The context also keeps a running prefix
   ``rows[0] * ... * rows[j-1]``, extended by one mode per update of a
   sweep, so mode ``j`` multiplies only the modes after ``j`` onto it.
   Any other write to the factors must be reported with
@@ -31,14 +31,18 @@ Implementation notes (hot path, vectorized per the hpc-parallel guides):
   in ``adaptive.py`` also the nonnegative projection — or later design
   rows and objectives read stale rows; a refresh of a mode the prefix
   covers empties it.  Other contexts treat ``refresh`` as a no-op.
-* Each mode's solve runs on a :class:`_ModeWorkspace` the context builds
-  once per fit: the padded design block, Gram stack, right-hand sides and
-  regularization diagonal live in fixed buffers written with ``out=``,
-  and the design rows are permuted straight into the padding source, so
-  a mode update allocates almost nothing.  The arithmetic is the same
-  operations in the same order as the plain batched solve, so fits are
-  bitwise identical to it (``tests/test_als_workspace_oracle.py`` keeps
-  that solve as its oracle).
+* Each mode's solve is the ridge step of a
+  :class:`~repro.core.completion.state._ModeWorkspace` the context builds
+  once per fit (the one normal-equation path of ALS, AMN and Tucker): the
+  padded design block, Gram stack, right-hand sides and regularization
+  diagonal live in fixed buffers written with ``out=``, and the design
+  rows are permuted straight into the padding source, so a mode update
+  allocates almost nothing.  A mode whose skewed multiplicities make
+  padding too large takes the workspace's per-row fallback.  The
+  arithmetic is the same operations in the same order as the plain
+  batched solve, so fits are bitwise identical to it
+  (``tests/test_als_workspace_oracle.py`` keeps that solve as its
+  oracle).
 * The ``reference`` backend retains the seed's per-row loop (one
   ``argsort`` and one small solve per row per sweep) — the ground truth
   the equivalence tests compare against, and the slow baseline the
@@ -49,7 +53,6 @@ Implementation notes (hot path, vectorized per the hpc-parallel guides):
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.completion.backends import resolve_backend
 from repro.core.completion.objectives import ls_objective
@@ -57,144 +60,10 @@ from repro.core.completion.state import (
     CompletionResult,
     ObservationPlan,
     init_factors,
-    solve_batched_spd,
 )
 from repro.utils.rng import as_generator
 
 __all__ = ["complete_als", "als_update_mode"]
-
-
-def _solve_rows(K, t, row_idx, n_rows, lam, out, scale_rows):
-    """Solve the per-row regularized normal equations for one mode.
-
-    ``K`` (m, R) and ``t`` (m,) are the design rows / targets, ``row_idx``
-    the mode index of each observation.  Results are written into ``out``
-    (the factor matrix) in place for rows that have observations.
-
-    With ``scale_rows=True`` the data term is averaged over the row's
-    observation set (the paper's row objective); with ``False`` it is the
-    plain sum, making every mode update an exact block-coordinate-descent
-    step on the global objective of Eq. 3 (hence provably monotone).
-
-    ``lam`` may be a scalar or a per-column vector of shape ``(R,)``
-    (column-wise penalties): ``lam * eye`` broadcasts to ``diag(lam)``.
-    """
-    R = K.shape[1]
-    order = np.argsort(row_idx, kind="stable")
-    sorted_rows = row_idx[order]
-    Ks = K[order]
-    ts = t[order]
-    # Segment boundaries of each distinct row.
-    bounds = np.searchsorted(sorted_rows, np.arange(n_rows + 1))
-    eye = np.eye(R)
-    for i in range(n_rows):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue  # unobserved row: keep current value
-        Ki = Ks[lo:hi]
-        ti = ts[lo:hi]
-        ni = (hi - lo) if scale_rows else 1.0
-        G = (Ki.T @ Ki) / ni + lam * eye
-        b = (Ki.T @ ti) / ni
-        try:
-            out[i] = scipy.linalg.solve(G, b, assume_a="pos")
-        except np.linalg.LinAlgError:
-            out[i] = np.linalg.lstsq(G, b, rcond=None)[0]
-
-
-class _ModeWorkspace:
-    """One mode's batched normal equations, with buffers fixed for a fit.
-
-    The batched equivalent of :func:`_solve_rows` for mode ``mp.j`` (a
-    :class:`~repro.core.completion.state.ModePlan`) at rank ``rank``.
-    The caller writes the mode's Khatri-Rao design rows, in the plan's
-    sorted order, into :attr:`K`; :meth:`solve` then builds every
-    observed row's ``R x R`` normal system in one shot and solves the
-    whole stack with one batched LAPACK call.  Everything that stays
-    fixed across sweeps is set up once here: the targets repeated per
-    column, the padded block and its transpose view, the Gram stack and a
-    strided view of its diagonals, the right-hand sides, and the
-    regularization diagonal per ``(lam, scale_rows)``.  :attr:`K` is the
-    head of a source array whose trailing row stays zero, so padding is
-    one ``take`` over the plan's slot map with no copy in between.
-    """
-
-    def __init__(self, mp, t_sorted, rank: int):
-        self.mp = mp
-        self.t_sorted = t_sorted
-        nnz = len(t_sorted)
-        self._src = np.zeros((nnz + 1, rank))
-        self.K = self._src[:-1]
-        self._diags: dict = {}
-        if mp.n_obs == 0 or not mp.pad_feasible:
-            return
-        self._slots = mp.pad_slots()
-        padded = np.empty((mp.n_obs, mp.max_count, rank))
-        self._padded = padded
-        self._padded_flat = padded.reshape(-1, rank)
-        self._padded_t = padded.transpose(0, 2, 1)
-        self._gram = np.empty((mp.n_obs, rank, rank))
-        self._gram_diag = self._gram.reshape(-1, rank * rank)[:, :: rank + 1]
-        # The targets repeated across the R columns: ``K * t`` is then one
-        # flat elementwise product (the same products as broadcasting a
-        # column, without the short inner loops).
-        self._t_rows = np.repeat(t_sorted[:, None], rank, axis=1)
-        self._kt = np.empty((nnz, rank))
-        self._b = np.empty((mp.n_obs, rank))
-        # The factor rows the solve writes: a plain slice when every row
-        # is observed (the same copy, without a fancy-index scatter).
-        self._solved = (
-            slice(None) if mp.n_obs == mp.n_rows else mp.obs_rows
-        )
-
-    def _diagonal(self, lam, scale_rows):
-        """The regularization added to the stacked Gram diagonals.
-
-        ``scale_rows`` divides the data term by the row's observation
-        count; scaling the whole system by ``n_i`` instead folds that into
-        the regularization diagonal (identical solution, two fewer
-        full-stack passes): (G/n + lam I) u = b/n  <=>  (G + n lam I) u = b.
-        ``lam`` may be a per-column vector (shape (R,)) — the column-wise
-        penalties of the regularized variant — in which case the diagonal
-        add is ``n_i * lam_r`` per (row, column).
-        """
-        # ``isinstance`` first: the usual Python-float lam skips ``np.ndim``.
-        vector = not isinstance(lam, float) and np.ndim(lam) > 0
-        if vector:
-            lam = np.array(lam, dtype=float)
-            key = (lam.tobytes(), scale_rows)
-        else:
-            key = (float(lam), scale_rows)
-        diag = self._diags.get(key)
-        if diag is None:
-            counts = self.mp.counts_obs
-            if vector:
-                diag = counts[:, None] * lam[None, :] if scale_rows else lam
-            else:
-                diag = np.asarray(lam * counts if scale_rows else lam)
-                diag = diag.reshape(-1, 1)
-            self._diags[key] = diag
-        return diag
-
-    def solve(self, lam, scale_rows, out) -> None:
-        """Re-solve the observed rows of ``out`` (the factor) from :attr:`K`."""
-        mp = self.mp
-        if mp.n_obs == 0:
-            return
-        if not mp.pad_feasible:
-            # Heavily skewed multiplicities: zero-padding would dwarf O(nnz).
-            # Solve per row on the (already sorted) segments instead.
-            _solve_rows(
-                self.K, self.t_sorted, mp.sorted_indices[:, mp.j], mp.n_rows,
-                lam, out, scale_rows,
-            )
-            return
-        self._src.take(self._slots, axis=0, out=self._padded_flat)
-        gram = np.matmul(self._padded_t, self._padded, out=self._gram)
-        np.multiply(self.K, self._t_rows, out=self._kt)
-        b = np.add.reduceat(self._kt, mp.starts_obs, axis=0, out=self._b)
-        self._gram_diag += self._diagonal(lam, scale_rows)
-        out[self._solved] = solve_batched_spd(gram, b)
 
 
 def _rebalance(factors) -> None:

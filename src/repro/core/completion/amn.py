@@ -38,6 +38,13 @@ Implementation notes (hot path):
   ``(n_rows, R, R)`` systems are solved by one batched LAPACK call, and
   the fraction-to-the-boundary rule plus Armijo backtracking run under
   per-row masks that freeze rows as they converge or fail to improve.
+* That backend's fit context is ALS's row cache: design rows come from
+  its cached factor rows and running Khatri-Rao prefix, and each
+  Hessian is the Gram step of the mode's
+  :class:`~repro.core.completion.state._ModeWorkspace` on ``K / s``,
+  into a stack fixed for the fit (the same Gram path as ALS and
+  Tucker).  A mode whose skewed multiplicities make padding too large
+  runs the per-row Newton loop on its sorted segments instead.
 * The ``reference`` backend retains the seed's per-row Newton loop for
   equivalence testing and benchmarking.
 """
@@ -135,23 +142,29 @@ def _row_objectives_batched(mp, K, logt_s, U, n_inv, lam, eta):
     return np.where(interior, f, np.inf)
 
 
-def _newton_rows_batched(plan, j, factors, logt_s, lam, eta, max_iter, tol):
+def _newton_rows_batched(ctx, j, factors, lam, eta, max_iter, tol):
     """Damped Gauss-Newton on *all* rows of mode ``j`` simultaneously.
 
     Batched counterpart of :func:`_newton_row`: every per-row scalar of the
     reference loop (objective, step, boundary fraction, Armijo state,
     convergence) becomes an array over the mode's observed rows, and rows
     drop out of the ``alive`` mask exactly where the reference loop would
-    ``break``.  Results overwrite ``factors[j]`` in place.
+    ``break``.  ``ctx`` is the ``numpy_batched`` fit context (the row
+    cache ALS uses): it supplies the design rows and the mode's
+    workspace, whose Gram step builds every Hessian.  Results overwrite
+    ``factors[j]`` in place; the caller refreshes the context after.
     """
-    mp = plan.mode(j)
+    mp = ctx.plan.mode(j)
     if mp.n_obs == 0:
         return
+    logt_s = ctx.t_sorted[j]
+    if ctx.design is None:
+        ctx.design = np.empty((ctx.plan.nnz, factors[j].shape[1]))
+    K = ctx.design_rows(factors, j, out=ctx.design)  # sorted, (nnz, R)
     if not mp.pad_feasible:
         # Heavily skewed multiplicities: the padded Hessian batch would
         # dwarf O(nnz); run the per-row reference loop on the (already
         # sorted) segments instead.
-        K = plan.khatri_rao(factors, j)
         U = factors[j]
         for lo, hi, i in zip(mp.starts_obs,
                              mp.starts_obs + mp.counts_obs.astype(int),
@@ -161,7 +174,7 @@ def _newton_rows_batched(plan, j, factors, logt_s, lam, eta, max_iter, tol):
             )
         return
     R = factors[j].shape[1]
-    K = plan.khatri_rao(factors, j)         # sorted design rows, (nnz, R)
+    ws = ctx.workspace(j)
     n_inv = 1.0 / mp.counts_obs
     U = factors[j][mp.obs_rows].copy()      # (n_obs, R)
     f = _row_objectives_batched(mp, K, logt_s, U, n_inv, lam, eta)
@@ -176,13 +189,14 @@ def _newton_rows_batched(plan, j, factors, logt_s, lam, eta, max_iter, tol):
     for _ in range(max_iter):
         s = np.einsum("kr,kr->k", K, U[mp.seg])
         r = np.log(s) - logt_s
-        Ksw = K / s[:, None]
+        # ``K / s`` goes into the workspace's padding source.
+        Ksw = np.divide(K, s[:, None], out=ws.K)
         grad = (
             2.0 * n_inv[:, None] * mp.seg_sum(Ksw * r[:, None])
             + 2.0 * lam * U
             - eta / U
         )
-        H = mp.gram(Ksw)
+        H = ws.grams()
         H *= 2.0 * n_inv[:, None, None]
         H[:, diag, diag] += 2.0 * lam + eta / (U * U)
         step = solve_batched_spd(H, -grad)

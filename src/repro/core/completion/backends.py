@@ -12,9 +12,13 @@ solves.  There are two:
     compare against.  Never the default.
 ``numpy_batched`` (also ``"batched"``, the name persisted model configs
 carry)
-    The vectorized plan-sharing path: one fit-wide
-    :class:`~repro.core.completion.state.ObservationPlan`, zero-padded
-    batched GEMM Grams, one batched LAPACK solve per mode.  The default.
+    The vectorized plan-sharing path, the default.  ALS and AMN share its
+    one fit context, :class:`_RowCache`: the fit-wide
+    :class:`~repro.core.completion.state.ObservationPlan` layout, cached
+    gathered factor rows the design rows are built from, and one
+    :class:`~repro.core.completion.state._ModeWorkspace` per mode whose
+    zero-padded batched GEMM builds the Grams (ALS's ridge solve, AMN's
+    Gauss-Newton Hessian) on buffers fixed for the fit.
 
 :func:`resolve_backend` maps ``kernel=`` to a backend object: ``None``
 gives :func:`select_best`, a name is looked up, and a backend object
@@ -51,19 +55,19 @@ class _FitContext:
         return cp_eval(factors, self.indices)
 
 
-class _ALSRowCache(_FitContext):
-    """``numpy_batched`` ALS context: gathered factor rows and mode workspaces.
+class _RowCache(_FitContext):
+    """``numpy_batched`` fit context: gathered factor rows and mode workspaces.
 
-    ``rows[k]`` is ``U_k[indices[:, k]]`` in plan (observation) order,
-    gathered for all modes at first use and then kept current:
-    ``als_update`` re-gathers ``rows[j]`` right after solving mode ``j``,
-    and every other write to the factors must be followed by
-    :meth:`refresh` of the modes written.  :meth:`evaluate` reads the
-    same rows.
+    The one context of ALS and AMN.  ``rows[k]`` is ``U_k[indices[:, k]]``
+    in plan (observation) order, gathered for all modes at first use and
+    then kept current: ``als_update`` and ``amn_update`` re-gather
+    ``rows[j]`` right after solving mode ``j``, and every other write to
+    the factors must be followed by :meth:`refresh` of the modes written.
+    :meth:`evaluate` reads the same rows.
 
     Mode ``j``'s design rows are the product of the other modes' rows,
     left to right in increasing mode (the order of
-    :meth:`~repro.core.completion.state.ObservationPlan.khatri_rao`).
+    :func:`~repro.core.completion.state.khatri_rao_rows`).
     The context keeps a running prefix ``rows[0] * ... * rows[p-1]``:
     the update of mode ``j`` first extends it to ``p = j`` from the
     current rows, then multiplies only ``rows[j+1:]`` onto it, and
@@ -76,9 +80,10 @@ class _ALSRowCache(_FitContext):
     gather, so design rows are bitwise identical to one.
 
     Each mode's normal equations run on a
-    :class:`~repro.core.completion.als._ModeWorkspace` built at the
+    :class:`~repro.core.completion.state._ModeWorkspace` built at the
     mode's first update, whose buffers live as long as the context.  A
     fit at another rank or on other factor arrays needs a new context.
+    ``values`` are the fit's targets (AMN's are the log-times).
     """
 
     def __init__(self, plan, values):
@@ -90,6 +95,8 @@ class _ALSRowCache(_FitContext):
         self.rows = None
         self._workspaces = [None] * plan.d
         self._covered = 0  # leading modes in the running prefix
+        # AMN's design rows: its workspace ``K`` holds ``K / s`` instead.
+        self.design = None
 
     def refresh(self, factors, modes=None) -> None:
         if self.rows is None:
@@ -112,10 +119,10 @@ class _ALSRowCache(_FitContext):
         """Mode ``j``'s normal-equation workspace (built on first use)."""
         ws = self._workspaces[j]
         if ws is None:
-            from repro.core.completion.als import _ModeWorkspace
+            from repro.core.completion.state import _ModeWorkspace
 
             ws = _ModeWorkspace(
-                self.plan.mode(j), self.t_sorted[j], self.rows[0].shape[1]
+                self.plan.mode(j), self.rows[0].shape[1], self.t_sorted[j]
             )
             self._workspaces[j] = ws
         return ws
@@ -135,10 +142,11 @@ class _ALSRowCache(_FitContext):
             return rows[0] if j else None
         return self._prefix
 
-    def design_rows(self, factors, j: int) -> np.ndarray:
+    def design_rows(self, factors, j: int, out=None) -> np.ndarray:
         """Khatri-Rao design rows of mode ``j`` in mode-``j`` sorted order.
 
-        Written into (and returned as) the mode workspace's ``K``.
+        Written into (and returned as) ``out``, by default the mode
+        workspace's ``K``, where its ridge step reads them.
         """
         rows = self._rows_of(factors)
         K = self._prefix_rows(j)
@@ -149,8 +157,9 @@ class _ALSRowCache(_FitContext):
             K = np.multiply(K, rest[0], out=self._product)
             for r in rest[1:]:
                 K *= r
-        ws = self.workspace(j)
-        return K.take(self.plan.mode(j).order, axis=0, out=ws.K)
+        if out is None:
+            out = self.workspace(j).K
+        return K.take(self.plan.mode(j).order, axis=0, out=out)
 
     def evaluate(self, factors) -> np.ndarray:
         rows = self._rows_of(factors)
@@ -178,8 +187,7 @@ class ReferenceBackend:
         return _FitContext(shape=shape, indices=indices, values=values)
 
     def als_update(self, ctx, factors, j, lam, scale_rows):
-        from repro.core.completion.als import _solve_rows
-        from repro.core.completion.state import khatri_rao_rows
+        from repro.core.completion.state import _solve_rows, khatri_rao_rows
 
         K = khatri_rao_rows(factors, ctx.indices, skip=j)
         _solve_rows(
@@ -220,8 +228,9 @@ class NumpyBatchedBackend:
     """Plan-sharing vectorized path (the previous ``kernel="batched"``).
 
     One fit-wide :class:`~repro.core.completion.state.ObservationPlan`
-    supplies per-mode sorted layouts; mode updates are segment
-    reductions plus one batched LAPACK solve.
+    supplies per-mode sorted layouts, and one :class:`_RowCache` per fit
+    the design rows and workspaces; mode updates are segment reductions
+    plus one batched LAPACK solve.
     """
 
     name = "numpy_batched"
@@ -239,7 +248,7 @@ class NumpyBatchedBackend:
         return plan
 
     def prepare_als(self, shape, indices, values, plan=None):
-        return _ALSRowCache(self._plan_for(shape, indices, plan), values)
+        return _RowCache(self._plan_for(shape, indices, plan), values)
 
     def als_update(self, ctx, factors, j, lam, scale_rows):
         ctx.design_rows(factors, j)
@@ -247,20 +256,13 @@ class NumpyBatchedBackend:
         ctx.refresh(factors, (j,))
 
     def prepare_amn(self, shape, indices, logt, plan=None):
-        plan = self._plan_for(shape, indices, plan)
-        d = len(shape)
-        return _FitContext(
-            plan=plan,
-            indices=plan.indices,
-            logt_sorted=[plan.sorted_values(logt, j) for j in range(d)],
-        )
+        return _RowCache(self._plan_for(shape, indices, plan), logt)
 
     def amn_update(self, ctx, factors, j, lam, eta, max_iter, tol):
         from repro.core.completion.amn import _newton_rows_batched
 
-        _newton_rows_batched(
-            ctx.plan, j, factors, ctx.logt_sorted[j], lam, eta, max_iter, tol
-        )
+        _newton_rows_batched(ctx, j, factors, lam, eta, max_iter, tol)
+        ctx.refresh(factors, (j,))
 
 
 _BACKENDS = {

@@ -3,6 +3,15 @@
 A rank-``R`` CP decomposition of an order-``d`` tensor is a list of ``d``
 factor matrices ``U_j`` of shape ``(I_j, R)``; element ``(i_1, ..., i_d)``
 is modeled as ``sum_r prod_j U_j[i_j, r]`` (paper Eq. 2).
+
+The batched solvers share two layers here.  :class:`ObservationPlan` is
+a fit's sorted observation *layout* (argsorts, segment bounds, pad slot
+maps), which a warm start over an unchanged index set reuses.
+:class:`_ModeWorkspace` is one mode's normal equations on buffers fixed
+for a fit: its :meth:`~_ModeWorkspace.grams` step is AMN's Gauss-Newton
+Hessian, its :meth:`~_ModeWorkspace.solve` step the ridge solve of ALS
+and of Tucker's factor update, with :func:`_solve_rows` as the per-row
+fallback on modes where padding is too large.
 """
 from __future__ import annotations
 
@@ -173,8 +182,7 @@ class ModePlan:
 
     All per-observation arrays handed to the segment reductions must be in
     *sorted order* (``arr[order]`` of the original observation order); the
-    Khatri-Rao rows produced by :meth:`ObservationPlan.khatri_rao` (and by
-    the ``numpy_batched`` ALS context's ``design_rows``) already are.
+    rows of the ``numpy_batched`` fit context's ``design_rows`` already are.
     Rows with no observations are excluded from every compacted array —
     results index the ``obs_rows`` subset.
 
@@ -213,7 +221,6 @@ class ModePlan:
         self.max_count = int(self.counts_obs.max()) if self.n_obs else 0
         self.seg = np.repeat(np.arange(self.n_obs), self.counts[self.obs_rows])
         self.offsets = np.arange(len(row_idx)) - self.bounds[:-1][sorted_rows]
-        self._pad_buffers: dict = {}
         # Zero-padding costs O(n_obs * max_count); with heavily skewed
         # multiplicities (one row owning most observations) that can dwarf
         # O(nnz) and exhaust memory.  Callers consult this flag and fall
@@ -234,31 +241,6 @@ class ModePlan:
         """Per-row minima of a sorted per-observation array ``(nnz,)``."""
         return np.minimum.reduceat(arr, self.starts_obs, axis=0)
 
-    def pad(self, arr: np.ndarray, slot: str = "a") -> np.ndarray:
-        """Lay a sorted per-observation array out in padded segments.
-
-        ``(nnz, R)`` -> ``(n_obs, max_count, R)`` with zero padding.  The
-        array is copied into a source buffer one row longer than ``nnz``
-        whose last row stays zero, and one ``take`` over a precomputed
-        slot map fills every padded slot (a real row or that zero row):
-        several times faster than a two-index scatter.  Buffers are cached
-        per (slot, trailing shape); distinct ``slot`` names yield distinct
-        buffers for callers that need two padded arrays alive at once.
-        """
-        key = (slot,) + arr.shape[1:]
-        bufs = self._pad_buffers.get(key)
-        if bufs is None:
-            bufs = (
-                np.zeros((len(arr) + 1,) + arr.shape[1:]),
-                np.empty((self.n_obs, self.max_count) + arr.shape[1:]),
-            )
-            self._pad_buffers[key] = bufs
-        src, buf = bufs
-        src[:-1] = arr
-        np.take(src, self.pad_slots(), axis=0,
-                out=buf.reshape((-1,) + arr.shape[1:]))
-        return buf
-
     def pad_slots(self) -> np.ndarray:
         """Padded slot -> sorted observation it holds, ``(n_obs * max_count,)``.
 
@@ -274,31 +256,163 @@ class ModePlan:
             )
         return self._pad_source
 
-    def gram(self, K: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Stacked per-row normal matrices ``G[i] = K_i^T diag(w_i) K_i``.
 
-        ``K`` is the sorted design block ``(nnz, R)``; the ragged segments
-        are zero-padded to ``(n_obs, max_count, R)`` and reduced with one
-        batched GEMM — orders of magnitude less Python/dispatch overhead
-        than a per-row loop, and far less memory traffic than an
-        ``(nnz, R, R)`` outer-product intermediate.
+def _solve_rows(K, t, row_idx, n_rows, lam, out, scale_rows):
+    """Solve the per-row regularized normal equations for one mode.
+
+    ``K`` (m, R) and ``t`` (m,) are the design rows / targets, ``row_idx``
+    the mode index of each observation.  Results are written into ``out``
+    (the factor matrix) in place for rows that have observations.
+
+    With ``scale_rows=True`` the data term is averaged over the row's
+    observation set (the paper's row objective); with ``False`` it is the
+    plain sum, making every mode update an exact block-coordinate-descent
+    step on the global objective of Eq. 3 (hence provably monotone).
+
+    ``lam`` may be a scalar or a per-column vector of shape ``(R,)``
+    (column-wise penalties): ``lam * eye`` broadcasts to ``diag(lam)``.
+    """
+    R = K.shape[1]
+    order = np.argsort(row_idx, kind="stable")
+    sorted_rows = row_idx[order]
+    Ks = K[order]
+    ts = t[order]
+    # Segment boundaries of each distinct row.
+    bounds = np.searchsorted(sorted_rows, np.arange(n_rows + 1))
+    eye = np.eye(R)
+    for i in range(n_rows):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue  # unobserved row: keep current value
+        Ki = Ks[lo:hi]
+        ti = ts[lo:hi]
+        ni = (hi - lo) if scale_rows else 1.0
+        G = (Ki.T @ Ki) / ni + lam * eye
+        b = (Ki.T @ ti) / ni
+        try:
+            out[i] = scipy.linalg.solve(G, b, assume_a="pos")
+        except np.linalg.LinAlgError:
+            out[i] = np.linalg.lstsq(G, b, rcond=None)[0]
+
+
+class _ModeWorkspace:
+    """One mode's batched normal equations, with buffers fixed for a fit.
+
+    Built for the :class:`ModePlan` ``mp`` at rank ``rank``, with the
+    mode's sorted targets ``t_sorted`` for the ridge step.  The caller
+    writes a design block in sorted order into :attr:`K`, the head of a
+    padding source whose trailing row stays zero, so padding is one
+    ``take`` over the plan's slot map.  :meth:`grams` builds the stacked
+    segment Grams ``K_i^T K_i`` (AMN writes ``K / s`` first);
+    :meth:`solve` adds right-hand sides and a regularization diagonal
+    and solves the stack into the factor, or runs :func:`_solve_rows`
+    where padding is too large.  The ridge buffers are built at the first
+    solve, so AMN, which only takes Grams, never allocates them.  The
+    arithmetic is the same operations in the same order as a
+    plain batched solve on fresh arrays, so fits are bitwise identical
+    to one (``tests/test_als_workspace_oracle.py``).
+    """
+
+    def __init__(self, mp, rank: int, t_sorted):
+        self.mp = mp
+        self.t_sorted = t_sorted
+        self._src = np.zeros((len(mp.order) + 1, rank))
+        self.K = self._src[:-1]
+        self._diags: dict = {}
+        self._b = None
+        if mp.n_obs == 0 or not mp.pad_feasible:
+            return
+        self._slots = mp.pad_slots()
+        padded = np.empty((mp.n_obs, mp.max_count, rank))
+        self._padded = padded
+        self._padded_flat = padded.reshape(-1, rank)
+        self._padded_t = padded.transpose(0, 2, 1)
+        self._gram = np.empty((mp.n_obs, rank, rank))
+        self._gram_diag = self._gram.reshape(-1, rank * rank)[:, :: rank + 1]
+
+    def grams(self) -> np.ndarray:
+        """The segment Grams of :attr:`K`, ``(n_obs, R, R)``, in a fixed buffer.
+
+        The ragged segments are zero-padded to ``(n_obs, max_count, R)``
+        and reduced with one batched GEMM: far less dispatch overhead than
+        a per-row loop, and far less memory traffic than an ``(nnz, R,
+        R)`` outer-product intermediate.  Needs ``mp.pad_feasible``.
         """
-        P = self.pad(K)
-        if weights is None:
-            return np.matmul(P.transpose(0, 2, 1), P)
-        Pw = self.pad(K * weights[:, None], slot="b")
-        return np.matmul(P.transpose(0, 2, 1), Pw)
+        self._src.take(self._slots, axis=0, out=self._padded_flat)
+        return np.matmul(self._padded_t, self._padded, out=self._gram)
+
+    def _diagonal(self, lam, scale_rows):
+        """The regularization added to the stacked Gram diagonals.
+
+        ``scale_rows`` divides the data term by the row's observation
+        count; scaling the whole system by ``n_i`` instead folds that into
+        the regularization diagonal (identical solution, two fewer
+        full-stack passes): (G/n + lam I) u = b/n  <=>  (G + n lam I) u = b.
+        ``lam`` may be a per-column vector (shape (R,)) — the column-wise
+        penalties of the regularized variant — in which case the diagonal
+        add is ``n_i * lam_r`` per (row, column).
+        """
+        # ``isinstance`` first: the usual Python-float lam skips ``np.ndim``.
+        vector = not isinstance(lam, float) and np.ndim(lam) > 0
+        if vector:
+            lam = np.array(lam, dtype=float)
+            key = (lam.tobytes(), scale_rows)
+        else:
+            key = (float(lam), scale_rows)
+        diag = self._diags.get(key)
+        if diag is None:
+            counts = self.mp.counts_obs
+            if vector:
+                diag = counts[:, None] * lam[None, :] if scale_rows else lam
+            else:
+                diag = np.asarray(lam * counts if scale_rows else lam)
+                diag = diag.reshape(-1, 1)
+            self._diags[key] = diag
+        return diag
+
+    def solve(self, lam, scale_rows, out) -> None:
+        """Re-solve the observed rows of ``out`` (the factor) from :attr:`K`."""
+        mp = self.mp
+        if mp.n_obs == 0:
+            return
+        if not mp.pad_feasible:
+            # Heavily skewed multiplicities: zero-padding would dwarf O(nnz).
+            # Solve per row on the (already sorted) segments instead.
+            _solve_rows(
+                self.K, self.t_sorted, mp.sorted_indices[:, mp.j], mp.n_rows,
+                lam, out, scale_rows,
+            )
+            return
+        if self._b is None:
+            rank = self.K.shape[1]
+            # The targets repeated across the R columns: ``K * t`` is then
+            # one flat elementwise product (the same products as
+            # broadcasting a column, without the short inner loops).
+            self._t_rows = np.repeat(self.t_sorted[:, None], rank, axis=1)
+            self._kt = np.empty_like(self.K)
+            self._b = np.empty((mp.n_obs, rank))
+            # The factor rows the solve writes: a plain slice when every
+            # row is observed (the same copy, without a fancy-index
+            # scatter).
+            self._solved = (
+                slice(None) if mp.n_obs == mp.n_rows else mp.obs_rows
+            )
+        gram = self.grams()
+        np.multiply(self.K, self._t_rows, out=self._kt)
+        b = np.add.reduceat(self._kt, mp.starts_obs, axis=0, out=self._b)
+        self._gram_diag += self._diagonal(lam, scale_rows)
+        out[self._solved] = solve_batched_spd(gram, b)
 
 
 class ObservationPlan:
-    """Per-fit cache of mode-sorted observation layouts and work buffers.
+    """Per-fit cache of mode-sorted observation layouts.
 
     The completion optimizers repeatedly need, for every mode ``j``, the
     observations grouped by their mode-``j`` index.  The seed implementation
     re-ran an ``argsort`` per mode per sweep (and per barrier level in AMN);
     the plan computes one stable argsort + segment bounds per mode *once*
-    and shares them across ALS/CCD/SGD/AMN sweeps.  It also owns reusable
-    Khatri-Rao buffers so the hot loops allocate nothing per sweep.
+    and shares them across ALS/CCD/SGD/AMN/Tucker sweeps.  It holds layout
+    only: work buffers belong to a fit's context (:class:`_ModeWorkspace`).
     """
 
     def __init__(self, shape, indices: np.ndarray):
@@ -312,7 +426,6 @@ class ObservationPlan:
         self.d = len(self.shape)
         self.nnz = len(indices)
         self._modes: list[ModePlan | None] = [None] * self.d
-        self._kr_buffers: dict = {}
         self._observed_masks: dict = {}
 
     def observed_mask(self, j: int) -> np.ndarray:
@@ -340,34 +453,6 @@ class ObservationPlan:
             self._modes[j] = mp
         return mp
 
-    def _buffer(self, name: str, rank: int) -> np.ndarray:
-        buf = self._kr_buffers.get((name, rank))
-        if buf is None:
-            buf = np.empty((self.nnz, rank))
-            self._kr_buffers[(name, rank)] = buf
-        return buf
-
-    def khatri_rao(self, factors: list, j: int) -> np.ndarray:
-        """Khatri-Rao design rows of mode ``j`` in *sorted* order.
-
-        Equivalent to ``khatri_rao_rows(factors, indices, j)[order]`` but
-        gathers directly on the pre-sorted multi-indices (no reorder pass)
-        into a plan-owned buffer (no per-sweep allocation).
-        """
-        mp = self.mode(j)
-        idx = mp.sorted_indices
-        rank = factors[0].shape[1]
-        K = self._buffer("kr", rank)
-        scratch = self._buffer("kr_scratch", rank)
-        first = 0 if j != 0 else 1
-        np.take(factors[first], idx[:, first], axis=0, out=K)
-        for j2 in range(self.d):
-            if j2 == j or j2 == first:
-                continue
-            np.take(factors[j2], idx[:, j2], axis=0, out=scratch)
-            K *= scratch
-        return K
-
     def sorted_values(self, values: np.ndarray, j: int) -> np.ndarray:
         """``values[order_j]`` — targets in mode-``j`` segment order."""
         return values[self.mode(j).order]
@@ -380,7 +465,7 @@ class ObservationPlan:
         A plan depends only on the observation *index set*, never on the
         observed values, so a streaming update whose new measurements all
         land in already-observed cells can reuse the plan (argsorts,
-        segment bounds, Khatri-Rao and padding buffers) verbatim.
+        segment bounds, pad slot maps) verbatim.
         """
         indices = np.asarray(indices)
         if tuple(int(I) for I in shape) != self.shape:
@@ -395,9 +480,9 @@ class ObservationPlan:
         """This plan when the observation set is unchanged, else a fresh one.
 
         The invalidation point of the streaming path: new observed cells
-        (or a widened grid) change segment bounds and buffer sizes, so
+        (or a widened grid) change segment bounds and slot maps, so
         everything is rebuilt; an unchanged index set returns ``self`` and
-        the warm-start sweep allocates nothing.
+        the warm-start fit sorts nothing.
         """
         if self.matches(shape, indices):
             return self

@@ -12,7 +12,9 @@ matrices, fitted to observed entries by alternating ridge least squares:
 * each factor update solves, per row, a least-squares problem against the
   "contracted design" ``K_k = G x_{j' != j} U_{j'}[i_{j'k}]`` (an ``R_j``
   vector per observation) — identical bookkeeping to CP-ALS with the core
-  contraction replacing the Khatri-Rao product;
+  contraction replacing the Khatri-Rao product, and the same solver: the
+  ridge step of :class:`~repro.core.completion.state._ModeWorkspace`
+  (plain-sum data term, per-row fallback on skewed modes);
 * the core update is one global ridge least-squares in ``prod_j R_j``
   unknowns, whose design rows are outer products of the factor rows —
   solved via normal equations (the core is small by construction).
@@ -29,7 +31,7 @@ import scipy.linalg
 from repro.core.completion.state import (
     CompletionResult,
     ObservationPlan,
-    solve_batched_spd,
+    _ModeWorkspace,
 )
 from repro.utils.rng import as_generator
 
@@ -180,39 +182,20 @@ def complete_tucker(
     converged = False
     sweeps = 0
     # Fit-wide sorted observation layout shared by every sweep (one stable
-    # argsort per mode), with targets pre-sorted once per mode.
+    # argsort per mode), and one normal-equation workspace per mode (the
+    # ridge step ALS runs, with a plain-sum data term).
     plan = ObservationPlan(shape, indices)
-    t_sorted = [plan.sorted_values(values, j) for j in range(d)]
+    workspaces = [
+        _ModeWorkspace(plan.mode(j), ranks[j], plan.sorted_values(values, j))
+        for j in range(d)
+    ]
     for sweep in range(max_sweeps):
         # --- factor updates (batched ridge LS over all rows of a mode) ----
-        for j in range(d):
-            mp = plan.mode(j)
-            if mp.n_obs == 0:
+        for j, ws in enumerate(workspaces):
+            if ws.mp.n_obs == 0:
                 continue
-            K = _contracted_rows(model, mp.sorted_indices, skip=j)
-            R = ranks[j]
-            if not mp.pad_feasible:
-                # Heavily skewed multiplicities: padding would dwarf
-                # O(nnz); solve per row on the sorted segments instead.
-                U = factors[j]
-                eye = np.eye(R)
-                ts = t_sorted[j]
-                for lo, hi, i in zip(
-                    mp.starts_obs,
-                    mp.starts_obs + mp.counts[mp.obs_rows],
-                    mp.obs_rows,
-                ):
-                    Ki, ti = K[lo:hi], ts[lo:hi]
-                    G = Ki.T @ Ki + lam * eye
-                    try:
-                        U[i] = scipy.linalg.solve(G, Ki.T @ ti, assume_a="pos")
-                    except np.linalg.LinAlgError:
-                        U[i] = np.linalg.lstsq(G, Ki.T @ ti, rcond=None)[0]
-                continue
-            G = mp.gram(K)
-            b = mp.seg_sum(K * t_sorted[j][:, None])
-            G[:, np.arange(R), np.arange(R)] += lam
-            factors[j][mp.obs_rows] = solve_batched_spd(G, b)
+            ws.K[...] = _contracted_rows(model, ws.mp.sorted_indices, skip=j)
+            ws.solve(lam, False, factors[j])
         # --- core update (global ridge LS over prod(ranks) unknowns) ------
         # Design row k = outer product of the factor rows of observation k.
         D = factors[0][indices[:, 0]]

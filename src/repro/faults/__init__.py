@@ -6,8 +6,8 @@ Two halves, deliberately in one package:
     The deterministic, seedable fault-injection framework.  Boundaries
     across the codebase declare named injection sites
     (:func:`fault_point` / :func:`mangle`); a :class:`FaultPlan` makes
-    chosen sites raise, tear bytes, hang, stop, or crash — zero overhead
-    when no plan is installed.
+    chosen sites raise, tear bytes, or hang — zero overhead when no plan
+    is installed.
 :mod:`repro.faults.retry`
     :func:`retry_call`, the shared bounded-retry primitive (exponential
     backoff, full jitter, deadline) the injected faults exercise.

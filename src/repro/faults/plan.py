@@ -41,7 +41,6 @@ import hashlib
 import json
 import os
 import random
-import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -75,7 +74,7 @@ EXCEPTIONS = {
     "value": ValueError,
 }
 
-_KINDS = ("error", "torn", "hang", "crash", "stop")
+_KINDS = ("error", "torn", "hang")
 
 
 class FaultRule:
@@ -88,10 +87,7 @@ class FaultRule:
     kind
         ``"error"`` raises ``EXCEPTIONS[error]``; ``"torn"`` truncates
         the bytes at a :func:`mangle` site to ``keep_fraction`` (a torn
-        write); ``"hang"`` sleeps ``delay_s`` (a wedged dependency);
-        ``"crash"`` calls ``os._exit(exit_code)`` (SIGKILL-equivalent);
-        ``"stop"`` sends the process ``SIGSTOP`` (a livelocked/paged-out
-        worker — every thread freezes, including heartbeats).
+        write); ``"hang"`` sleeps ``delay_s`` (a wedged dependency).
     prob
         Firing probability per eligible hit (after ``after``, below
         ``max_fires``).  ``1.0`` makes the rule a deterministic schedule.
@@ -105,7 +101,7 @@ class FaultRule:
 
     __slots__ = (
         "site", "kind", "prob", "after", "max_fires",
-        "error", "message", "delay_s", "keep_fraction", "exit_code",
+        "error", "message", "delay_s", "keep_fraction",
     )
 
     def __init__(
@@ -120,7 +116,6 @@ class FaultRule:
         message: str | None = None,
         delay_s: float = 5.0,
         keep_fraction: float = 0.5,
-        exit_code: int = 3,
     ):
         if kind not in _KINDS:
             raise ValueError(f"unknown fault kind {kind!r}: want one of {_KINDS}")
@@ -141,7 +136,6 @@ class FaultRule:
         self.message = message
         self.delay_s = max(float(delay_s), 0.0)
         self.keep_fraction = float(keep_fraction)
-        self.exit_code = int(exit_code)
 
     def to_record(self) -> dict:
         """JSON form (the :data:`ENV_VAR` / ``--fault-plan`` transport)."""
@@ -256,14 +250,10 @@ class FaultPlan:
             )
         if rule.kind == "hang":
             time.sleep(rule.delay_s)
-        elif rule.kind == "crash":
-            os._exit(rule.exit_code)
-        elif rule.kind == "stop":
-            os.kill(os.getpid(), signal.SIGSTOP)
         # "torn" at a control-flow site has no bytes to tear: no-op.
 
     def check(self, site: str) -> None:
-        """One hit at a control-flow site (may raise / sleep / kill)."""
+        """One hit at a control-flow site (may raise or sleep)."""
         rule = self._decide(site)
         if rule is not None:
             self._act(rule)
@@ -320,8 +310,8 @@ def fault_point(site: str) -> None:
     """Declare a control-flow injection site.
 
     With no plan installed this is one global read — the hot-path cost
-    of being injectable.  With a plan, the site's rule may raise, sleep,
-    or kill the process.
+    of being injectable.  With a plan, the site's rule may raise or
+    sleep.
     """
     plan = _PLAN
     if plan is not None:

@@ -78,31 +78,11 @@ class PredictionEngine:
         self._last_s = 0.0
         self._last_n = 0
 
-    # -- model lifecycle -------------------------------------------------------
-
-    def swap_model(self, model, name: str | None = None) -> None:
-        """Atomically replace the served model (streaming republish path).
-
-        The streaming pipeline serves from a long-lived engine while the
-        trainer refits in the same process; on republish it swaps the new
-        model in under the stats lock, so an in-flight ``predict`` that
-        already grabbed the old reference completes against a consistent
-        model and every later call sees the new one — no torn state, and
-        the engine's lifetime telemetry carries across versions.
-        """
-        kwargs = {"validate": False} if _supports_skip_validation(model) else {}
-        with self._lock:
-            self.model = model
-            self._predict_kwargs = kwargs
-            if name is not None:
-                self.name = name
-
     # -- queries ---------------------------------------------------------------
 
-    def validate(self, X, model=None) -> np.ndarray:
+    def validate(self, X) -> np.ndarray:
         """Normalize/reject a raw query batch (before any kernel runs)."""
-        hook = getattr(self.model if model is None else model,
-                       "validate_queries", None)
+        hook = getattr(self.model, "validate_queries", None)
         if callable(hook):
             return hook(X)
         X = np.asarray(X, dtype=float)
@@ -117,13 +97,9 @@ class PredictionEngine:
         on the hot path.
         """
         fault_point("engine.predict")
-        with self._lock:  # pair model + kwargs consistently under swap_model
-            model, kw = self.model, self._predict_kwargs
+        model, kw = self.model, self._predict_kwargs
         if validate:
-            # Validate against the same reference that will predict: a
-            # swap landing mid-call must not leave rows normalized by one
-            # model's contract and evaluated (unvalidated) by another's.
-            X = self.validate(X, model)
+            X = self.validate(X)
         else:
             X = np.atleast_2d(np.asarray(X, dtype=float))
         t0 = time.perf_counter()
@@ -151,8 +127,8 @@ class PredictionEngine:
 
     def stats(self) -> dict:
         """Lifetime latency/throughput counters (JSON-serializable)."""
+        model = self.model
         with self._lock:
-            model = self.model
             batches, queries = self._batches, self._queries
             total_s, max_s = self._total_s, self._max_s
             last_s, last_n = self._last_s, self._last_n

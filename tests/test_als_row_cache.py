@@ -1,9 +1,10 @@
-"""Coherence of the ``numpy_batched`` ALS row cache and Khatri-Rao prefix.
+"""Coherence of the ``numpy_batched`` row cache and Khatri-Rao prefix.
 
-The ``numpy_batched`` ALS fit context caches every factor's gathered rows
-for the whole fit, keeps a running product of the leading modes' rows,
-and writes each mode's design rows into that mode's workspace, where the
-solve reads them.  A stale row or prefix (a factor written without the
+The ``numpy_batched`` fit context of ALS and AMN caches every factor's
+gathered rows for the whole fit, keeps a running product of the leading
+modes' rows, and writes each mode's design rows into that mode's
+workspace, where the ALS solve reads them (AMN passes a buffer of its
+own).  A stale row or prefix (a factor written without the
 context being told) would still give a plausible fit, so this suite
 checks the cache directly: at every mode of every sweep, the design rows
 in the workspace must be bitwise equal to a fresh ``khatri_rao_rows``
@@ -12,8 +13,9 @@ fresh ``cp_eval``.  The paths covered are the ones that write factors
 outside ``als_update``: plain ALS (gauge rebalancing), warm starts with
 plan reuse, regularized ALS with graded penalties and with the
 nonnegative projection, the adaptive loop through a grow and a prune,
-and a projection of an earlier mode in the middle of a sweep, which must
-empty the prefix.
+a projection of an earlier mode in the middle of a sweep, which must
+empty the prefix, and AMN fits, cold and warm, whose Newton updates
+write each mode through the cache.
 """
 import numpy as np
 import pytest
@@ -23,10 +25,11 @@ from repro.core.completion import (
     complete_als,
     complete_als_adaptive,
     complete_als_regularized,
+    complete_amn,
     init_factors,
     khatri_rao_rows,
 )
-from repro.core.completion.backends import _ALSRowCache, resolve_backend
+from repro.core.completion.backends import _RowCache, resolve_backend
 from repro.core.completion.state import cp_eval
 
 
@@ -37,12 +40,13 @@ def checked(monkeypatch):
     Returns a dict counting the checked design-row and evaluate calls.
     """
     calls = {"design_rows": 0, "evaluate": 0}
-    design_rows = _ALSRowCache.design_rows
-    evaluate = _ALSRowCache.evaluate
+    design_rows = _RowCache.design_rows
+    evaluate = _RowCache.evaluate
 
-    def checked_design_rows(self, factors, j):
-        K = design_rows(self, factors, j)
-        assert K is self.workspace(j).K  # what the mode's solve reads
+    def checked_design_rows(self, factors, j, out=None):
+        K = design_rows(self, factors, j, out)
+        # What the mode's solve (or AMN's Newton loop) reads.
+        assert K is (self.workspace(j).K if out is None else out)
         fresh = khatri_rao_rows(factors, self.indices, skip=j)
         np.testing.assert_array_equal(K, fresh[self.plan.mode(j).order])
         calls["design_rows"] += 1
@@ -54,8 +58,8 @@ def checked(monkeypatch):
         calls["evaluate"] += 1
         return pred
 
-    monkeypatch.setattr(_ALSRowCache, "design_rows", checked_design_rows)
-    monkeypatch.setattr(_ALSRowCache, "evaluate", checked_evaluate)
+    monkeypatch.setattr(_RowCache, "design_rows", checked_design_rows)
+    monkeypatch.setattr(_RowCache, "evaluate", checked_evaluate)
     return calls
 
 
@@ -150,3 +154,18 @@ def test_mid_sweep_refresh_of_covered_mode_empties_prefix(checked):
     ctx.evaluate(factors)
     assert checked["design_rows"] == 6 + len(shape)
     assert checked["evaluate"] == 1
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (5, 4, 6), (4, 3, 5, 3, 4)])
+def test_amn_cold_and_warm(checked, shape):
+    idx, vals = _observations(shape, 60 * len(shape), seed=20 + len(shape))
+    vals = np.exp(0.4 * vals)  # AMN fits strictly positive times
+    backend = resolve_backend("numpy_batched")
+    kw = dict(max_sweeps=2, newton_iters=6, barrier_min=1e-1, tol=0.0)
+    cold = complete_amn(shape, idx, vals, 3, seed=4, kernel=backend, **kw)
+    assert checked["design_rows"] == cold.n_sweeps * len(shape)
+    before = checked["design_rows"]
+    warm = complete_amn(shape, idx, vals * 1.1, 3, kernel=backend,
+                        factors=[U.copy() for U in cold.factors], **kw)
+    assert checked["design_rows"] - before == warm.n_sweeps * len(shape)
+    assert all(np.all(U > 0) for U in warm.factors)

@@ -187,6 +187,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="prob"):
             plan().on("s", "error", prob=1.5)
 
+    @pytest.mark.parametrize("kind", ["crash", "stop"])
+    def test_process_killing_kinds_are_unknown(self, kind):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            faults.FaultRule("x", kind=kind)
+
 
 class TestRetryCall:
     def test_transient_then_success(self):

@@ -393,15 +393,16 @@ class TestPlanInvariants:
         assert not mp.observed[shape[0] - 1]
 
     def test_khatri_rao_matches_unsorted_reference(self):
-        from repro.core.completion import khatri_rao_rows
+        from repro.core.completion import khatri_rao_rows, resolve_backend
 
         shape = (7, 5, 6, 4)
-        idx, _ = _ragged_observations(shape, seed=4)
+        idx, vals = _ragged_observations(shape, seed=4)
         rng = np.random.default_rng(0)
         factors = [rng.normal(size=(I, 3)) for I in shape]
-        plan = ObservationPlan(shape, idx)
+        ctx = resolve_backend("numpy_batched").prepare_als(shape, idx, vals)
+        plan = ctx.plan
         for j in range(len(shape)):
             mp = plan.mode(j)
-            K = plan.khatri_rao(factors, j)
+            K = ctx.design_rows(factors, j)
             expected = khatri_rao_rows(factors, idx, skip=j)[mp.order]
             np.testing.assert_allclose(K, expected, rtol=1e-13)

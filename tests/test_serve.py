@@ -843,36 +843,6 @@ def test_server_concurrent_predict_while_republishing(tmp_path, bcast_data):
     np.testing.assert_allclose(final["y"], expected[18])
 
 
-def test_engine_swap_model_is_atomic_under_load(bcast_data):
-    """Predictions during swap_model match exactly one of the two models."""
-    app, train, test = bcast_data
-    a = _fit(app, train, seed=0)
-    b = _fit(app, train, seed=7, rank=3)
-    Xq = test.X[:4]
-    ya, yb = a.predict(Xq), b.predict(Xq)
-    engine = PredictionEngine(a, name="m@v1")
-    bad: list = []
-    stop = threading.Event()
-
-    def reader():
-        while not stop.is_set():
-            y = engine.predict(Xq)
-            if not (np.allclose(y, ya) or np.allclose(y, yb)):
-                bad.append(y)
-
-    threads = [threading.Thread(target=reader) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for i in range(40):
-        engine.swap_model(b if i % 2 == 0 else a, name=f"m@v{2 + i}")
-    stop.set()
-    for t in threads:
-        t.join(timeout=10)
-    assert not bad
-    assert engine.name == "m@v41"
-    np.testing.assert_allclose(engine.predict(Xq), ya)  # ends on model a
-
-
 # -- serve-path bugfix sweep ---------------------------------------------------
 
 
