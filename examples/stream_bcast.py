@@ -50,14 +50,14 @@ def main():
         # Threshold just above this model family's converged rolling error
         # (~0.2 MLogQ at cells=8/rank=3), so drift refits fire on genuine
         # degradation rather than on the model's noise floor.
+        # The trainer owns the model factory and the drift monitor; the
+        # session scores every batch through ``trainer.monitor``.
         monitor = DriftMonitor(window=64, threshold=0.3, min_count=24)
         session = StreamSession(
             registry,
             "bcast-stream",
-            factory,
+            IncrementalTrainer(factory, monitor=monitor),
             buffer=ObservationBuffer(journal=journal, window=4096),
-            monitor=monitor,
-            trainer=IncrementalTrainer(factory, monitor=monitor),
             meta={"app": app.name},
         )
 
@@ -85,7 +85,11 @@ def main():
         # Resume from disk: the journal tail past the last published
         # version is replayed into the restored model (fit state and all).
         resumed = StreamSession.resume(
-            registry, "bcast-stream", journal, factory, window=4096
+            registry,
+            "bcast-stream",
+            journal,
+            IncrementalTrainer(factory, monitor=DriftMonitor()),
+            window=4096,
         )
         print(f"resumed at seq {resumed.resumed_from} of "
               f"{resumed.buffer.n_seen} journaled observations; "

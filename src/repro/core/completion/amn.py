@@ -302,8 +302,12 @@ def complete_amn(
     # whole fit, shared by every sweep of every barrier level (the seed
     # re-sorted per mode per sweep).
     ctx = backend.prepare_amn(shape, indices, logt, plan=plan)
-    indices = ctx.indices
-    history = [logq_objective(factors, indices, values, lam)]
+
+    def objective() -> float:
+        return logq_objective(factors, ctx.indices, values, lam,
+                              pred=ctx.evaluate(factors))
+
+    history = [objective()]
     eta = float(barrier_start)
     eta_floor = max(float(barrier_min), lam)
     sweeps = 0
@@ -315,7 +319,7 @@ def complete_amn(
                     ctx, factors, j, lam, eta, newton_iters, tol
                 )
             sweeps += 1
-            history.append(logq_objective(factors, indices, values, lam))
+            history.append(objective())
         if eta <= eta_floor:
             prev = history[-1 - max_sweeps] if len(history) > max_sweeps else history[0]
             converged = abs(prev - history[-1]) <= tol * max(abs(prev), 1e-30)

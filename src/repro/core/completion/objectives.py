@@ -61,14 +61,17 @@ def ls_objective(factors, indices, values, lam: float, pred=None) -> float:
     return float((np.sum(resid**2) + frobenius_penalty(factors, lam)) / n)
 
 
-def logq_objective(factors, indices, values, lam: float) -> float:
+def logq_objective(factors, indices, values, lam: float, pred=None) -> float:
     """Eq. 3 with MLogQ2 loss, scaled by ``1/|Omega|``.
 
     Requires a strictly positive model; non-positive predictions are
     clipped to a tiny constant, making the objective finite but terrible —
-    useful for detecting interior-point violations in tests.
+    useful for detecting interior-point violations in tests.  ``pred``
+    is as in :func:`ls_objective` (an AMN fit context's ``evaluate``).
     """
-    pred = np.maximum(cp_eval(factors, indices), 1e-300)
+    if pred is None:
+        pred = cp_eval(factors, indices)
+    pred = np.maximum(pred, 1e-300)
     q = np.log(pred) - np.log(values)
     n = len(values)
     return float((np.sum(q**2) + frobenius_penalty(factors, lam)) / n)

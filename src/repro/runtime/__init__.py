@@ -28,10 +28,11 @@ re-fitted per figure.  This package turns that workload into declarative
 Figure drivers build job lists (``build_jobs``) and submit them through
 :func:`~repro.runtime.executor.execute`; ``python -m repro.experiments``
 exposes the ``--jobs`` and ``--cache-dir`` knobs.  Streaming replays are
-jobs too: :func:`repro.stream.runner.stream_job_spec` wraps a whole
-drift-monitored stream session as one cacheable spec (deterministic
-given its seed), so sweeps over streaming scenarios resume like any
-other sweep.
+jobs too: :func:`repro.stream.runner.stream_job_spec` wraps the fields
+of one :class:`~repro.stream.runner.StreamTask` (a whole drift-monitored
+stream session, deterministic given its seed) as one cacheable spec, so
+sweeps over streaming scenarios resume like any other sweep.  A spec
+that names a ``journal`` resumes from it when run.
 """
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import Runtime, execute

@@ -20,17 +20,22 @@ model meaningfully changed.
 :class:`~repro.stream.drift.DriftMonitor`
     Rolling relative-error tracker over a prequential holdout window
     (each observation is scored *before* it is absorbed); sustained
-    error above threshold triggers refit + republish.
+    error above threshold triggers refit + republish.  The trainer owns
+    it, as it owns the model factory.
 :class:`~repro.stream.pipeline.StreamSession`
-    Orchestrates buffer + trainer + monitor against a
+    Orchestrates buffer + trainer (and the trainer's monitor) against a
     :class:`~repro.serve.ModelRegistry`: refits auto-republish a new
     version, which a live :class:`~repro.serve.ModelServer` picks up on
     its next ``name@latest`` resolution — no restart.  With
     ``canary=True`` a refit publishes to ``name@shadow`` instead and a
     :class:`~repro.stream.canary.ShadowTrial` gates the pointer flip on
     live prequential MLogQ (losers are rolled back).
+:class:`~repro.stream.runner.StreamTask`
+    One stream's declarative spec and the one builder of its session:
+    :func:`~repro.stream.runner.run_stream_job`, the CLI and the fleet
+    driver all assemble sessions through it.
 :class:`~repro.stream.fleet.MultiStreamDriver`
-    Many concurrent sessions — a fleet of (optionally drifting)
+    Many concurrent tasks — a fleet of (optionally drifting)
     applications — publishing into one shared registry.
 
 ``python -m repro.stream`` replays any ``repro.apps`` application as a
@@ -42,9 +47,9 @@ policy, and shadow-scoring gate.
 from repro.stream.buffer import ObservationBuffer
 from repro.stream.canary import ShadowTrial
 from repro.stream.drift import DriftMonitor
-from repro.stream.fleet import DriftingApplication, MultiStreamDriver, StreamTask
+from repro.stream.fleet import DriftingApplication, MultiStreamDriver
 from repro.stream.pipeline import StreamSession, replay_application
-from repro.stream.runner import run_stream_job, stream_job_spec
+from repro.stream.runner import StreamTask, run_stream_job, stream_job_spec
 from repro.stream.trainer import IncrementalTrainer
 
 __all__ = [

@@ -30,16 +30,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 
 from repro.apps import get_application
 from repro.serve import ModelRegistry, ModelServer
-from repro.stream.buffer import ObservationBuffer
-from repro.stream.drift import DriftMonitor
-from repro.stream.pipeline import StreamSession, replay_application
-from repro.stream.runner import make_model_factory
-from repro.stream.trainer import IncrementalTrainer
+from repro.stream.pipeline import replay_application
+from repro.stream.runner import StreamTask
 
 
 def _fmt(record: dict) -> str:
@@ -66,6 +64,13 @@ def _rank_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer rank or 'auto', got {text!r}"
         ) from None
+
+
+def _stream_task(args) -> StreamTask:
+    """The :class:`StreamTask` the parsed flags describe: every field but
+    ``shift_at`` (``--drift-at``) is set by the flag of the same name."""
+    params = {f.name: getattr(args, f.name) for f in fields(StreamTask) if f.name in args}
+    return StreamTask(**params, shift_at=args.drift_at)
 
 
 def main(argv=None) -> int:
@@ -137,36 +142,16 @@ def main(argv=None) -> int:
     else:
         faults.install_from_env()
 
-    app = get_application(args.app)
-    name = args.name or f"{args.app}-stream"
+    get_application(args.app)  # an unknown name fails before any output
+    task = _stream_task(args)
+    name = task.name
     registry = ModelRegistry(args.registry)
 
     if args.streams > 1:
-        from repro.stream.fleet import MultiStreamDriver, StreamTask
+        from repro.stream.fleet import MultiStreamDriver
 
         tasks = [
-            StreamTask(
-                args.app,
-                n=args.n,
-                batch=args.batch,
-                seed=args.seed + i,
-                name=f"{name}-{i}",
-                shift_at=args.drift_at,
-                drift_factor=args.drift_factor,
-                canary=args.canary,
-                canary_margin=args.canary_margin,
-                canary_min_scores=args.canary_min_scores,
-                canary_max_scores=args.canary_max_scores,
-                cells=args.cells,
-                rank=args.rank,
-                loss=args.loss,
-                max_sweeps=args.max_sweeps,
-                partial_sweeps=args.partial_sweeps,
-                window=args.window,
-                drift_window=args.drift_window,
-                drift_threshold=args.drift_threshold,
-                drift_min_count=args.drift_min_count,
-            )
+            replace(task, name=f"{name}-{i}", seed=task.seed + i)
             for i in range(args.streams)
         ]
         drift = (
@@ -198,51 +183,17 @@ def main(argv=None) -> int:
         )
         return 1 if report["failures"] else 0
 
-    if args.drift_at is not None:
-        from repro.stream.fleet import DriftingApplication
-
-        app = DriftingApplication(app, args.drift_at, factor=args.drift_factor)
-
     server = ModelServer(registry, default_model=name)
-    factory = make_model_factory(
-        app.space, cells=args.cells, rank=args.rank, loss=args.loss,
-        max_sweeps=args.max_sweeps, seed=args.seed,
-    )
-    monitor = DriftMonitor(
-        window=args.drift_window,
-        threshold=args.drift_threshold,
-        min_count=args.drift_min_count,
-    )
-    trainer = IncrementalTrainer(
-        factory, monitor=monitor, partial_sweeps=args.partial_sweeps
-    )
-    meta = {"app": args.app, "seed": args.seed}
-    canary_kwargs = dict(
-        canary=args.canary,
-        canary_margin=args.canary_margin,
-        canary_min_scores=args.canary_min_scores,
-        canary_max_scores=args.canary_max_scores,
-    )
-    if args.journal is not None:
-        session = StreamSession.resume(
-            registry, name, args.journal, factory, window=args.window,
-            monitor=monitor, trainer=trainer, meta=meta, **canary_kwargs,
+    app, session = task.build_session(registry)
+    if session.resumed_from is not None:
+        pending = session.buffer.n_seen - session.buffer.flushed
+        print(
+            f"[stream] resume: journal seq={session.buffer.n_seen}, "
+            f"registry {name}@v{registry.resolve(name).version} "
+            f"consumed={session.resumed_from}, pending={pending}"
         )
-        if session.resumed_from is not None:
-            pending = session.buffer.n_seen - session.buffer.flushed
-            print(
-                f"[stream] resume: journal seq={session.buffer.n_seen}, "
-                f"registry {name}@v{registry.resolve(name).version} "
-                f"consumed={session.resumed_from}, pending={pending}"
-            )
-            if pending:
-                print(f"[stream] resume flush: {_fmt(session.flush())}")
-    else:
-        session = StreamSession(
-            registry, name, factory,
-            buffer=ObservationBuffer(window=args.window),
-            monitor=monitor, trainer=trainer, meta=meta, **canary_kwargs,
-        )
+        if pending:
+            print(f"[stream] resume flush: {_fmt(session.flush())}")
 
     def server_predict(X):
         resp = server.handle({"op": "predict", "model": name, "x": X.tolist()})

@@ -12,7 +12,9 @@ than both the flush point and the retention window are dropped — long
 streams hold O(window) rows, while the model's observed tensor keeps the
 counts-weighted summary of everything ever absorbed.  A torn final
 journal line (crash mid-write) is skipped on replay; corruption anywhere
-else raises, mirroring the result cache's miss-vs-corruption policy.
+else raises, mirroring the result cache's miss-vs-corruption policy.  A
+line whose ``seq`` is not the number of observations before it is
+corruption too.
 """
 from __future__ import annotations
 
@@ -70,17 +72,19 @@ class ObservationBuffer:
                 try:
                     record = json.loads(bline)
                 except json.JSONDecodeError:
-                    if any(rest.strip() for rest in lines[i + 1 :]):
-                        raise ValueError(
-                            f"corrupt journal line {i + 1} in {path}"
-                        ) from None
-                    # Torn final line (the crash the journal survives):
-                    # drop it from the file too, so the next append starts
-                    # on a clean line boundary instead of concatenating
-                    # onto the torn bytes and corrupting the journal.
-                    with path.open("r+b") as fh:
-                        fh.truncate(offset)
-                    break
+                    if not any(rest.strip() for rest in lines[i + 1 :]):
+                        # Torn final line (the crash the journal survives):
+                        # drop it from the file too, so the next append
+                        # starts on a clean line boundary instead of
+                        # concatenating onto the torn bytes.
+                        with path.open("r+b") as fh:
+                            fh.truncate(offset)
+                        break
+                    record = None
+                # Each line continues the one before it: a repeated or
+                # skipped ``seq`` would double-count or lose observations.
+                if not isinstance(record, dict) or record.get("seq") != buf.n_seen:
+                    raise ValueError(f"corrupt journal line {i + 1} in {path}")
                 buf._ingest(
                     np.asarray(record["x"], dtype=float),
                     np.asarray(record["y"], dtype=float),

@@ -11,14 +11,12 @@ runs that shape in-process:
     after ``shift_at`` cumulative measured rows, every subsequent
     measurement is scaled by ``factor``.  Deterministic given the
     replay seed, so a drifting fleet replay is reproducible.
-:class:`StreamTask`
-    The declarative per-stream spec (application, length, drift
-    schedule, canary knobs).
 :class:`MultiStreamDriver`
-    Runs one :class:`~repro.stream.pipeline.StreamSession` per task on
-    its own thread against a *shared* registry, and aggregates the
-    session summaries — total promotions, rollbacks, published
-    versions — into one fleet report.
+    Runs one :class:`~repro.stream.runner.StreamTask` per thread
+    against a *shared* registry (``task.run(registry)``, so each stream
+    is built exactly as a single stream or a runtime job is), and
+    aggregates the session summaries — total promotions, rollbacks,
+    published versions — into one fleet report.
 
 Threads rather than processes: a session's heavy steps (fits, sweeps)
 run in NumPy with the GIL released, and the registry's on-disk layout
@@ -31,12 +29,7 @@ import threading
 
 import numpy as np
 
-from repro.stream.buffer import ObservationBuffer
-from repro.stream.drift import DriftMonitor
-from repro.stream.pipeline import StreamSession, replay_application
-from repro.stream.trainer import IncrementalTrainer
-
-__all__ = ["DriftingApplication", "MultiStreamDriver", "StreamTask"]
+__all__ = ["DriftingApplication", "MultiStreamDriver"]
 
 
 class DriftingApplication:
@@ -80,127 +73,6 @@ class DriftingApplication:
         )
 
 
-class StreamTask:
-    """One stream's declarative spec for :class:`MultiStreamDriver`.
-
-    Parameters
-    ----------
-    app
-        Application name (resolved via :func:`repro.apps.get_application`).
-    n, batch, seed
-        Replay length / batch size / generator seed.
-    name
-        Registry model name (default ``<app>-stream``; must be unique
-        within a fleet — two streams publishing one name would race the
-        version pointer with different models).
-    shift_at, drift_factor
-        Drift injection (``shift_at=None`` replays stationary).
-    canary, canary_margin, canary_min_scores, canary_max_scores
-        Forwarded to :class:`~repro.stream.pipeline.StreamSession`.
-    cells, rank, loss, max_sweeps, partial_sweeps
-        Model / trainer hyper-parameters.
-    drift_window, drift_threshold, drift_min_count
-        :class:`~repro.stream.drift.DriftMonitor` knobs.
-    """
-
-    def __init__(
-        self,
-        app: str,
-        n: int = 256,
-        batch: int = 32,
-        seed: int = 0,
-        name: str | None = None,
-        shift_at: int | None = None,
-        drift_factor: float = 2.0,
-        canary: bool = False,
-        canary_margin: float = 0.05,
-        canary_min_scores: int = 24,
-        canary_max_scores: int = 256,
-        cells=8,
-        rank: int = 3,
-        loss: str = "log_mse",
-        max_sweeps: int = 30,
-        partial_sweeps: int | None = None,
-        window: int | None = 4096,
-        drift_window: int = 64,
-        drift_threshold: float = 0.25,
-        drift_min_count: int = 24,
-    ):
-        if int(n) < 1:
-            raise ValueError("n must be >= 1")
-        self.app = app
-        self.n = int(n)
-        self.batch = int(batch)
-        self.seed = int(seed)
-        self.name = name or f"{app}-stream"
-        self.shift_at = None if shift_at is None else int(shift_at)
-        self.drift_factor = float(drift_factor)
-        self.canary = bool(canary)
-        self.canary_margin = float(canary_margin)
-        self.canary_min_scores = int(canary_min_scores)
-        self.canary_max_scores = int(canary_max_scores)
-        self.cells = cells
-        self.rank = int(rank)
-        self.loss = loss
-        self.max_sweeps = int(max_sweeps)
-        self.partial_sweeps = partial_sweeps
-        self.window = window
-        self.drift_window = int(drift_window)
-        self.drift_threshold = float(drift_threshold)
-        self.drift_min_count = int(drift_min_count)
-
-    def build_application(self):
-        from repro.apps import get_application
-
-        app = get_application(self.app)
-        if self.shift_at is None:
-            return app
-        return DriftingApplication(app, self.shift_at, factor=self.drift_factor)
-
-    def build_session(self, registry):
-        """Build this task's ``(application, StreamSession)`` pair."""
-        from repro.stream.runner import make_model_factory
-
-        application = self.build_application()
-        factory = make_model_factory(
-            application.space,
-            cells=self.cells,
-            rank=self.rank,
-            loss=self.loss,
-            max_sweeps=self.max_sweeps,
-            seed=self.seed,
-        )
-        monitor = DriftMonitor(
-            window=self.drift_window,
-            threshold=self.drift_threshold,
-            min_count=self.drift_min_count,
-        )
-        session = StreamSession(
-            registry,
-            self.name,
-            factory,
-            buffer=ObservationBuffer(window=self.window),
-            monitor=monitor,
-            trainer=IncrementalTrainer(
-                factory, monitor=monitor, partial_sweeps=self.partial_sweeps
-            ),
-            meta={"app": self.app, "seed": self.seed},
-            canary=self.canary,
-            canary_margin=self.canary_margin,
-            canary_min_scores=self.canary_min_scores,
-            canary_max_scores=self.canary_max_scores,
-        )
-        return application, session
-
-    def __repr__(self):
-        drift = (
-            "stationary"
-            if self.shift_at is None
-            else f"shift@{self.shift_at}x{self.drift_factor}"
-        )
-        return f"StreamTask({self.name}, n={self.n}, {drift})"
-
-
 class MultiStreamDriver:
     """Run a fleet of stream sessions concurrently against one registry.
 
@@ -230,26 +102,15 @@ class MultiStreamDriver:
             )
         self.registry = registry
         self.tasks = tasks
-        self.summaries: dict[str, dict] = {}
-
-    def _run_task(self, task: StreamTask, out: dict) -> None:
-        application, session = task.build_session(self.registry)
-        try:
-            out[task.name] = replay_application(
-                application, session, task.n, batch=task.batch, seed=task.seed
-            )
-        finally:
-            session.buffer.close()
 
     def run(self) -> dict:
-        out: dict[str, dict] = {}
-        errors: dict[str, str] = {}
+        done: dict[str, dict] = {}
 
         def runner(task):
             try:
-                self._run_task(task, out)
+                done[task.name] = task.run(self.registry)
             except Exception as exc:  # noqa: BLE001 - reported per stream
-                errors[task.name] = f"{type(exc).__name__}: {exc}"
+                done[task.name] = {"error": f"{type(exc).__name__}: {exc}"}
 
         threads = [
             threading.Thread(
@@ -262,27 +123,18 @@ class MultiStreamDriver:
         for t in threads:
             t.join()
 
-        streams: dict[str, dict] = {}
-        promotions = rollbacks = 0
-        published: dict[str, list[int]] = {}
-        rolled_back: dict[str, list[int]] = {}
-        for task in self.tasks:
-            if task.name in errors:
-                streams[task.name] = {"error": errors[task.name]}
-                continue
-            summary = out[task.name]
-            streams[task.name] = summary
-            promotions += summary.get("promotions", 0)
-            rollbacks += summary.get("rollbacks", 0)
-            published[task.name] = summary.get("published_versions", [])
-            rolled_back[task.name] = summary.get("rolled_back_versions", [])
-        self.summaries = streams
+        streams = {task.name: done[task.name] for task in self.tasks}
+        ok = {name: s for name, s in streams.items() if "error" not in s}
         return {
             "streams": streams,
             "n_streams": len(self.tasks),
-            "failures": len(errors),
-            "promotions": promotions,
-            "rollbacks": rollbacks,
-            "published_versions": published,
-            "rolled_back_versions": rolled_back,
+            "failures": len(streams) - len(ok),
+            "promotions": sum(s["promotions"] for s in ok.values()),
+            "rollbacks": sum(s["rollbacks"] for s in ok.values()),
+            "published_versions": {
+                name: s["published_versions"] for name, s in ok.items()
+            },
+            "rolled_back_versions": {
+                name: s["rolled_back_versions"] for name, s in ok.items()
+            },
         }

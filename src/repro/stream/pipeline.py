@@ -8,6 +8,9 @@ whenever the model was (re)fitted rather than warm-updated — republished
 into the :class:`~repro.serve.ModelRegistry` as a new version.  A live
 :class:`~repro.serve.ModelServer` over the same registry picks the new
 version up on its next ``name@latest`` resolution; nothing restarts.
+The trainer is the one owner of the model factory and of the drift
+monitor; the session scores through ``trainer.monitor``.  Sessions are
+normally assembled by :class:`~repro.stream.runner.StreamTask`.
 
 Resumability mirrors ``repro.runtime``: the published manifest records
 ``stream_seq`` (how much of the journal the published model absorbed),
@@ -32,7 +35,6 @@ import numpy as np
 from repro.faults import fault_point, retry_call
 from repro.stream.buffer import ObservationBuffer
 from repro.stream.canary import ShadowTrial
-from repro.stream.drift import DriftMonitor
 from repro.stream.trainer import IncrementalTrainer
 
 __all__ = ["StreamSession", "replay_application"]
@@ -48,11 +50,13 @@ class StreamSession:
         disables publishing — buffer/trainer still run).
     name
         Registry model name (also the server-side reference).
-    model_factory
-        Zero-argument callable building an unfitted model (see
-        :class:`IncrementalTrainer`).
-    buffer, monitor, trainer
-        Injectable components; sensible defaults are built when omitted.
+    trainer
+        The :class:`IncrementalTrainer` that owns the live model, its
+        model factory and its :class:`~repro.stream.drift.DriftMonitor`.
+        The session scores drift through ``trainer.monitor`` (exposed as
+        :attr:`monitor`), so a trainer without a monitor is refused.
+    buffer
+        The observation buffer (default: an unbounded in-memory one).
     meta
         Extra key/values merged into every published manifest.
     canary
@@ -69,23 +73,20 @@ class StreamSession:
         self,
         registry,
         name: str,
-        model_factory,
+        trainer: IncrementalTrainer,
         buffer: ObservationBuffer | None = None,
-        monitor: DriftMonitor | None = None,
-        trainer: IncrementalTrainer | None = None,
         meta: dict | None = None,
         canary: bool = False,
         canary_margin: float = 0.05,
         canary_min_scores: int = 24,
         canary_max_scores: int = 256,
     ):
+        if trainer.monitor is None:
+            raise ValueError("StreamSession needs a trainer with a DriftMonitor")
         self.registry = registry
         self.name = name
+        self.trainer = trainer
         self.buffer = buffer if buffer is not None else ObservationBuffer()
-        self.monitor = monitor if monitor is not None else DriftMonitor()
-        self.trainer = trainer if trainer is not None else IncrementalTrainer(
-            model_factory, monitor=self.monitor
-        )
         self.meta = dict(meta or {})
         self.canary = bool(canary)
         self.canary_margin = float(canary_margin)
@@ -110,7 +111,7 @@ class StreamSession:
         registry,
         name: str,
         journal,
-        model_factory,
+        trainer: IncrementalTrainer,
         window: int | None = None,
         **kwargs,
     ) -> "StreamSession":
@@ -125,7 +126,7 @@ class StreamSession:
         from repro.utils.serialization import dumps_model, loads_model
 
         buffer = ObservationBuffer.open(journal, window=window)
-        session = cls(registry, name, model_factory, buffer=buffer, **kwargs)
+        session = cls(registry, name, trainer, buffer=buffer, **kwargs)
         if registry is not None and name in registry:
             # One resolution serves both the model bytes and the cursor:
             # resolving twice could pair version N's ``stream_seq`` with a
@@ -146,6 +147,11 @@ class StreamSession:
     @property
     def model(self):
         return self.trainer.model
+
+    @property
+    def monitor(self):
+        """The trainer's drift monitor (reset by the trainer on every refit)."""
+        return self.trainer.monitor
 
     # -- the loop --------------------------------------------------------------
 
@@ -204,13 +210,6 @@ class StreamSession:
         record = self.trainer.update(X_new, y_new, self.buffer.refit_arrays)
         if record["action"] not in ("deferred", "failed"):
             self.buffer.mark_flushed()
-        if record["action"] == "refit" and self.trainer.monitor is not self.monitor:
-            # The trainer resets *its* monitor after a refit; when the
-            # session scores drift through a different monitor (injected
-            # trainer), that one holds prequential evidence against the
-            # replaced model — a rank-changing refit must not be judged
-            # by the old model's window.
-            self.monitor.reset()
         if record["action"] in ("fit", "refit"):
             shadow = (
                 self.canary

@@ -70,7 +70,9 @@ class IncrementalTrainer:
         data.
     monitor
         Optional :class:`~repro.stream.drift.DriftMonitor` consulted
-        before each flush; it is reset after every full refit.
+        before each flush; it is reset after every full refit.  A
+        :class:`~repro.stream.pipeline.StreamSession` requires one and
+        scores its prequential drift signal into it.
     partial_sweeps
         Sweep budget forwarded to ``partial_fit`` (``None`` uses the
         model's default: ``max_sweeps // 5``).

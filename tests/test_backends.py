@@ -230,12 +230,15 @@ class TestAttribution:
         assert PredictionEngine(m).stats()["fit_backend"] == m.fit_backend_
 
     def test_trainer_and_session_report_backend(self):
-        from repro.stream.pipeline import StreamSession
+        from repro.stream import DriftMonitor, IncrementalTrainer, StreamSession
 
         X, y = _data()
         session = StreamSession(
             None, "m",
-            lambda: CPRModel(cells=4, rank=2, max_sweeps=4),
+            IncrementalTrainer(
+                lambda: CPRModel(cells=4, rank=2, max_sweeps=4),
+                monitor=DriftMonitor(),
+            ),
         )
         session.observe(X, y)
         backend = session.trainer.model.fit_backend_

@@ -50,8 +50,7 @@ def _session(registry, name, app, *, margin=0.02, min_scores=16,
     )
     monitor = DriftMonitor(window=window, threshold=threshold, min_count=min_count)
     return StreamSession(
-        registry, name, factory, monitor=monitor,
-        trainer=IncrementalTrainer(factory, monitor=monitor),
+        registry, name, IncrementalTrainer(factory, monitor=monitor),
         canary=True, canary_margin=margin,
         canary_min_scores=min_scores, canary_max_scores=max_scores,
     )
@@ -301,8 +300,7 @@ class TestCanarySession:
         )
         monitor = DriftMonitor(window=48, threshold=0.25, min_count=24)
         session = StreamSession(
-            reg, "m", factory, monitor=monitor,
-            trainer=IncrementalTrainer(factory, monitor=monitor),
+            reg, "m", IncrementalTrainer(factory, monitor=monitor)
         )
         summary = replay_application(app, session, 300, batch=25, seed=0)
         assert summary["promotions"] == 0 and summary["rollbacks"] == 0
@@ -356,6 +354,17 @@ class TestMultiStreamDriver:
         assert report["promotions"] == sum(
             s["promotions"] for s in report["streams"].values()
         )
+
+    def test_rank_auto_fleet(self, tmp_path):
+        tasks = [
+            StreamTask("bcast", n=64, batch=32, seed=i, name=f"auto-{i}",
+                       cells=4, rank="auto", max_sweeps=5)
+            for i in range(2)
+        ]
+        report = MultiStreamDriver(ModelRegistry(tmp_path), tasks).run()
+        assert report["n_streams"] == 2 and report["failures"] == 0
+        for summary in report["streams"].values():
+            assert summary["published_versions"]
 
     def test_duplicate_names_refused(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate stream names"):

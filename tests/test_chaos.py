@@ -418,8 +418,7 @@ class TestStreamDegradation:
         )
         registry = ModelRegistry(tmp_path / "reg")
         session = StreamSession(
-            registry, "m", factory, monitor=monitor, trainer=trainer,
-            buffer=ObservationBuffer(window=512),
+            registry, "m", trainer, buffer=ObservationBuffer(window=512)
         )
         session.observe(train.X[:128], train.y[:128])  # initial fit + publish v1
         assert session.published_versions == [1]
@@ -494,7 +493,9 @@ class TestStreamDegradation:
         app, train, _ = bcast_data
         factory = _factory(app)
         registry = ModelRegistry(tmp_path / "reg")
-        session = StreamSession(registry, "m", factory)
+        session = StreamSession(
+            registry, "m", IncrementalTrainer(factory, monitor=DriftMonitor())
+        )
         with faults.injected(plan().on("stream.publish", "error", max_fires=1)):
             rec = session.observe(train.X[:96], train.y[:96])
         assert rec["action"] == "fit" and rec["published_version"] == 1
@@ -507,7 +508,10 @@ class TestStreamDegradation:
         registry = ModelRegistry(tmp_path / "reg")
         journal = tmp_path / "m.jsonl"
         buffer = ObservationBuffer(journal=journal, window=512)
-        session = StreamSession(registry, "m", factory, buffer=buffer)
+        session = StreamSession(
+            registry, "m", IncrementalTrainer(factory, monitor=DriftMonitor()),
+            buffer=buffer,
+        )
         with faults.injected(plan().on("registry.write", "error", max_fires=1)):
             session.observe(train.X[:96], train.y[:96])
         session.observe(train.X[96:128], train.y[96:128])
@@ -515,7 +519,10 @@ class TestStreamDegradation:
         session.buffer.close()
 
         with faults.injected(plan().on("registry.read", "error", max_fires=1)):
-            resumed = StreamSession.resume(registry, "m", journal, factory)
+            resumed = StreamSession.resume(
+                registry, "m", journal,
+                IncrementalTrainer(factory, monitor=DriftMonitor()),
+            )
         assert resumed.resumed_from == registry.resolve("m").meta["stream_seq"]
         assert resumed.buffer.n_seen == seen
         assert resumed.buffer.flushed <= flushed

@@ -204,8 +204,7 @@ class TestStreamRankHotSwap:
 
         monitor = DriftMonitor(window=8, threshold=0.1, min_count=2)
         trainer = IncrementalTrainer(factory, monitor=monitor)
-        session = StreamSession(registry, "bc-auto", factory,
-                                monitor=monitor, trainer=trainer)
+        session = StreamSession(registry, "bc-auto", trainer)
         session.observe(train.X[:256], train.y[:256])
         v1 = registry.resolve("bc-auto")
         assert v1.meta["adapted_rank"] == 2

@@ -126,6 +126,15 @@ class TestObservationBuffer:
         path.write_text('not json\n{"seq": 0, "x": [[1.0]], "y": [2.0]}\n')
         with pytest.raises(ValueError, match="corrupt journal"):
             ObservationBuffer.open(path)
+        # A repeated ``seq`` is corruption too, not a torn tail: replaying
+        # it would count the same observations twice.
+        path.write_text(
+            '{"seq": 0, "x": [[1.0]], "y": [2.0]}\n'
+            '{"seq": 1, "x": [[3.0]], "y": [4.0]}\n'
+            '{"seq": 1, "x": [[3.0]], "y": [4.0]}\n'
+        )
+        with pytest.raises(ValueError, match="corrupt journal line 3"):
+            ObservationBuffer.open(path)
 
 
 # -- drift monitor -------------------------------------------------------------
@@ -263,14 +272,17 @@ class TestIncrementalTrainer:
         assert tr.to_record()["rank_changes"] == 1
 
     def test_session_monitor_reset_when_trainer_has_none(self, bcast):
-        """A refit resets the *session's* drift window too, even when the
-        injected trainer scores through no (or another) monitor."""
+        """The session scores drift through its trainer's monitor, so a
+        domain-widening refit empties the session's drift window; a
+        trainer without a monitor is refused."""
         app, train = bcast
+        with pytest.raises(ValueError, match="DriftMonitor"):
+            StreamSession(None, "m", IncrementalTrainer(_factory(app)))
         monitor = DriftMonitor(window=32, threshold=1e9, min_count=1)
         session = StreamSession(
-            None, "m", _factory(app),
-            monitor=monitor, trainer=IncrementalTrainer(_factory(app)),
+            None, "m", IncrementalTrainer(_factory(app), monitor=monitor)
         )
+        assert session.monitor is monitor
         half = train.X[:, 2] < np.median(train.X[:, 2])
         X_in, y_in = train.X[half], train.y[half]
         session.observe(X_in, y_in)  # initial fit: grid covers all of half
@@ -278,12 +290,12 @@ class TestIncrementalTrainer:
         # session monitor accumulates prequential evidence.
         record = session.observe(X_in[:32], y_in[:32])
         assert record["action"] == "partial"
-        assert monitor.count > 0
-        # Out-of-domain rows force a refit through the trainer (which has
-        # no monitor of its own): the session monitor must still reset.
+        assert session.monitor.count > 0
+        # Out-of-domain rows force a domain refit: the window that scored
+        # the replaced model is emptied.
         record = session.observe(train.X[~half][:32], train.y[~half][:32])
-        assert record["action"] == "refit"
-        assert monitor.count == 0
+        assert record["action"] == "refit" and record["reason"] == "domain"
+        assert session.monitor.count == 0
 
     def test_empty_flush_is_noop(self, bcast):
         app, train = bcast
@@ -306,8 +318,7 @@ class TestStreamSession:
         factory = _factory(app)
         monitor = DriftMonitor(window=32, threshold=0.2, min_count=16)
         session = StreamSession(
-            registry, "bcast-stream", factory, monitor=monitor,
-            trainer=IncrementalTrainer(factory, monitor=monitor),
+            registry, "bcast-stream", IncrementalTrainer(factory, monitor=monitor)
         )
         summary = replay_application(app, session, 200, batch=32, seed=0)
         assert summary["trainer"]["fit"] == 1
@@ -332,14 +343,9 @@ class TestStreamSession:
             monitor = DriftMonitor(window=32, threshold=0.2, min_count=16)
             trainer = IncrementalTrainer(factory, monitor=monitor)
             if resume:
-                return StreamSession.resume(
-                    registry, "m", journal, factory,
-                    monitor=monitor, trainer=trainer,
-                )
+                return StreamSession.resume(registry, "m", journal, trainer)
             return StreamSession(
-                registry, "m", factory,
-                buffer=ObservationBuffer(journal=journal),
-                monitor=monitor, trainer=trainer,
+                registry, "m", trainer, buffer=ObservationBuffer(journal=journal)
             )
 
         first = make_session(resume=False)
@@ -374,7 +380,8 @@ class TestStreamSession:
         buf.append(train.X[:64], train.y[:64])
         buf.close()
         session = StreamSession.resume(
-            ModelRegistry(tmp_path / "reg"), "fresh", journal, _factory(app)
+            ModelRegistry(tmp_path / "reg"), "fresh", journal,
+            IncrementalTrainer(_factory(app), monitor=DriftMonitor()),
         )
         assert session.model is None and session.resumed_from is None
         record = session.flush()
@@ -394,6 +401,20 @@ class TestStreamJobs:
         assert a == b
         assert a["trainer"]["fit"] == 1
         assert a["n_observations"] == 96
+
+    def test_rerun_with_the_same_journal_resumes_it(self, tmp_path):
+        """A second job over one journal continues its ``seq``s and counts
+        every journaled observation once."""
+        journal = tmp_path / "j.jsonl"
+        kw = dict(app="bcast", n=64, batch=32, seed=0, cells=4, rank=2,
+                  max_sweeps=5, drift_min_count=16, journal=str(journal))
+        first = run_stream_job(**kw)
+        second = run_stream_job(**kw)
+        seqs = [json.loads(line)["seq"] for line in journal.read_text().splitlines()]
+        assert seqs == [0, 32, 64, 96]
+        assert first["n_observations"] == 64
+        assert second["n_observations"] == 128
+        assert ObservationBuffer.open(journal).n_seen == 128
 
     def test_stream_job_spec_cacheable(self, tmp_path):
         from repro.runtime import Runtime
@@ -424,3 +445,14 @@ class TestStreamJobs:
             "--seed", "1",
         ]) == 0
         assert "[stream] resume:" in capsys.readouterr().out
+
+    def test_cli_rank_auto_fleet(self, tmp_path, capsys):
+        from repro.stream.__main__ import main
+
+        assert main([
+            "--app", "bcast", "--registry", str(tmp_path / "reg"),
+            "--rank", "auto", "--streams", "2", "--n", "64", "--batch", "32",
+            "--cells", "4", "--max-sweeps", "5",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "[stream] fleet done: streams=2 failures=0" in out
